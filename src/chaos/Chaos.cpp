@@ -7,8 +7,8 @@
 #include "promises/chaos/Chaos.h"
 
 #include "promises/apps/KvStore.h"
+#include "promises/chaos/Harness.h"
 #include "promises/runtime/RemoteHandler.h"
-#include "promises/storage/Storage.h"
 #include "promises/support/StrUtil.h"
 
 #include <algorithm>
@@ -124,13 +124,6 @@ std::string chaos::formatAction(const ChaosAction &A) {
 }
 
 namespace {
-
-uint64_t mixSeed(uint64_t Seed, uint64_t Salt) {
-  uint64_t X = Seed + 0x9e3779b97f4a7c15ull * (Salt + 1);
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
 
 // Wire-integrity workload rates (ChaosOptions::Corrupt/Dup/Reorder). The
 // ambient corruption rate runs for the whole injection window; planned
@@ -264,21 +257,6 @@ struct ExecEntry {
   uint64_t Op = 0;
 };
 
-/// One server identity: a node that hosts a succession of guardian
-/// incarnations. Old incarnations are kept (never destroyed mid-run) so
-/// their transports can be audited at quiescence.
-struct ServerSlot {
-  net::NodeId Node = 0;
-  runtime::Guardian *Current = nullptr;
-  RecordRef Record;
-  bool TransportDead = false; ///< Shutdown injected since last incarnation.
-  /// Durable mode only: the slot's stable store (outlives every guardian
-  /// incarnation, like a disk outlives the processes using it) and the
-  /// current incarnation's recovered kv ports.
-  std::unique_ptr<storage::StableStore> Wal;
-  apps::KvStore Kv;
-};
-
 /// A durable put the client saw acknowledged; must survive any later
 /// crash schedule.
 struct DurableAck {
@@ -290,54 +268,28 @@ struct DurableAck {
 /// --storage-faults (disjoint from opIdempotent's Op%3==0).
 constexpr bool opDurablePut(uint64_t Op) { return Op % 3 == 1; }
 
-struct World {
+/// The closed-loop chaos workload on the shared harness: per server slot
+/// a `record` port (plus, under --storage-faults, a WAL-backed KvStore on
+/// the slot's one store), and per client one driver process.
+struct World : Harness {
   explicit World(const ChaosOptions &Opt);
 
-  void applyAction(const ChaosAction &A);
-  void installServer(size_t Slot);
+  void installServer(size_t Slot) override;
   void runDriver(uint32_t Client);
   ChaosReport finish();
 
   ChaosOptions O;
-  ChaosPlan Plan;
-  sim::Simulation S;
-  std::unique_ptr<net::SimNetwork> Net;
-  std::vector<ServerSlot> Slots;
-  std::vector<net::NodeId> ClientNodes;
-  std::vector<std::unique_ptr<runtime::Guardian>> ServerGuardians;
-  std::vector<std::unique_ptr<runtime::Guardian>> ClientGuardians;
+  std::vector<RecordRef> Records; ///< Current incarnation's port, per slot.
+  std::vector<apps::KvStore> Kvs; ///< Durable mode: recovered kv ports.
   std::vector<std::vector<stream::AgentId>> Agents; ///< [client][slot].
   std::vector<ExecEntry> Log;
   std::vector<DurableAck> Acked;
-  uint32_t NextGen = 0;
+  UnavailableSplit Unavail;
   ChaosReport Report;
 };
 
-stream::StreamConfig chaosStreamConfig(uint64_t Seed, uint64_t Salt) {
-  stream::StreamConfig C;
-  // Tightened loss recovery so breaks land within a fault outage instead
-  // of dominating the run; a small window keeps flow control in play.
-  C.MaxBatchCalls = 8;
-  C.RetransmitTimeout = sim::msec(6);
-  C.RetransmitTimeoutMax = sim::msec(30);
-  C.MaxRetries = 3;
-  C.MaxInFlightCalls = 8;
-  C.RetransSeed = mixSeed(Seed, Salt);
-  return C;
-}
-
-World::World(const ChaosOptions &Opt)
-    : O(Opt), Plan(ChaosPlan::generate(Opt)),
-      S(sim::SimConfig{.Backend = Opt.Backend}) {
-  // The trace-event stream is the determinism oracle; always record it.
-  S.metrics().setEnabled(true);
-
-  net::NetConfig NC;
-  NC.LossRate = O.Profile.BaseLoss;
-  NC.DupRate = O.Profile.BaseDup;
-  NC.JitterMax = O.Profile.BaseJitter;
-  NC.Propagation = sim::msec(1);
-  NC.Seed = mixSeed(O.Seed, 0);
+net::NetConfig chaosNetConfig(const ChaosOptions &O) {
+  net::NetConfig NC = profileNetConfig(O.Profile, O.Seed);
   // Byte-level damage knobs (the wire-integrity workload).
   if (O.Corrupt)
     NC.CorruptRate = ChaosAmbientCorrupt;
@@ -347,21 +299,20 @@ World::World(const ChaosOptions &Opt)
     NC.ReorderRate = ChaosReorderRate;
     NC.ReorderMax = ChaosReorderMax;
   }
-  Net = std::make_unique<net::SimNetwork>(S, NC);
+  return NC;
+}
 
-  Slots.resize(O.Servers);
-  for (size_t I = 0; I != O.Servers; ++I)
-    Slots[I].Node = Net->addNode(strprintf("srv%zu", I));
-  for (size_t I = 0; I != O.Clients; ++I)
-    ClientNodes.push_back(Net->addNode(strprintf("cli%zu", I)));
-
+World::World(const ChaosOptions &Opt)
+    : Harness(Opt.Seed, Opt.Backend, chaosNetConfig(Opt), Opt.Servers,
+              Opt.Clients),
+      O(Opt), Records(Opt.Servers), Kvs(Opt.Servers) {
   if (O.Storage)
     for (size_t I = 0; I != O.Servers; ++I) {
       storage::StorageConfig SC;
       SC.Name = strprintf("srv%zu", I);
       SC.SyncTime = sim::usec(200);
       SC.Faults = {O.LostRate, O.TornRate, mixSeed(O.Seed, 7000 + I)};
-      Slots[I].Wal = std::make_unique<storage::StableStore>(S, SC);
+      Slots[I].Media.push_back(std::make_unique<storage::StableStore>(S, SC));
     }
 
   for (size_t I = 0; I != O.Servers; ++I)
@@ -370,35 +321,33 @@ World::World(const ChaosOptions &Opt)
   Agents.resize(O.Clients);
   for (uint32_t C = 0; C != O.Clients; ++C) {
     runtime::GuardianConfig GC;
-    GC.Stream = chaosStreamConfig(O.Seed, 1000 + C);
+    // A small window keeps flow control in play.
+    GC.Stream = faultStreamConfig();
+    GC.Stream.MaxInFlightCalls = 8;
     if (O.Deadlines) {
       // Endpoint circuit breaking: two consecutive timeout breaks trip
       // the breaker; a short cooldown keeps probes inside fault outages.
       GC.Stream.BreakerThreshold = 2;
       GC.Stream.BreakerCooldown = sim::msec(8);
     }
-    ClientGuardians.push_back(std::make_unique<runtime::Guardian>(
-        *Net, ClientNodes[C], strprintf("cli%u", C), GC));
+    runtime::Guardian &G = addClient(strprintf("cli%u", C), GC);
     for (size_t Sl = 0; Sl != O.Servers; ++Sl)
-      Agents[C].push_back(ClientGuardians[C]->newAgent());
-    ClientGuardians[C]->spawnProcess("driver",
-                                     [this, C] { runDriver(C); });
+      Agents[C].push_back(G.newAgent());
+    G.spawnProcess("driver", [this, C] { runDriver(C); });
   }
 
-  for (const ChaosAction &A : Plan.Actions)
-    S.schedule(A.At, [this, A] { applyAction(A); });
+  schedulePlan(ChaosPlan::generate(O));
 }
 
 void World::installServer(size_t Slot) {
-  ServerSlot &SS = Slots[Slot];
-  uint32_t Gen = ++NextGen;
   runtime::GuardianConfig GC;
-  GC.Stream = chaosStreamConfig(O.Seed, 2000 + Gen);
+  GC.Stream = faultStreamConfig();
+  GC.Stream.MaxInFlightCalls = 8;
   if (O.Deadlines)
     GC.MaxPendingCalls = 6; // Admission control: shed under backlog.
-  auto G = std::make_unique<runtime::Guardian>(
-      *Net, SS.Node, strprintf("srv%zu#%u", Slot, Gen), GC);
-  SS.Record = G->addHandler<RecordSig, ChaosBusy>(
+  runtime::Guardian &G = incarnate(Slot, GC);
+  uint32_t Gen = NextGen;
+  Records[Slot] = G.addHandler<RecordSig, ChaosBusy>(
       "record", [this, Gen](uint32_t Client, uint64_t Op) -> RecordOutcome {
         Log.push_back({Gen, Client, Op});
         ++Report.Executions;
@@ -417,68 +366,9 @@ void World::installServer(size_t Slot) {
     // (acked writes from any predecessor must reappear).
     apps::KvStoreConfig KC;
     KC.ServiceTime = sim::usec(100);
-    KC.Wal = SS.Wal.get();
+    KC.Wal = Slots[Slot].Media[0].get();
     KC.SnapshotEvery = 32;
-    SS.Kv = apps::installKvStore(*G, KC);
-  }
-  SS.Current = G.get();
-  SS.TransportDead = false;
-  ServerGuardians.push_back(std::move(G));
-}
-
-void World::applyAction(const ChaosAction &A) {
-  using K = ChaosAction::Kind;
-  ServerSlot &SS = Slots[A.Server];
-  switch (A.K) {
-  case K::CrashNode:
-    if (Net->isUp(SS.Node)) {
-      Net->crash(SS.Node);
-      if (SS.Wal)
-        SS.Wal->crash(); // Media fault model: un-synced tail at risk.
-      ++Report.Crashes;
-    }
-    break;
-  case K::RestartNode:
-    if (!Net->isUp(SS.Node)) {
-      Net->restart(SS.Node);
-      installServer(A.Server);
-      ++Report.Restarts;
-    }
-    break;
-  case K::TransportShutdown:
-    if (Net->isUp(SS.Node) && !SS.TransportDead && !SS.Current->crashed()) {
-      SS.Current->transport().shutdown();
-      SS.TransportDead = true;
-      ++Report.Shutdowns;
-    }
-    break;
-  case K::ServerReincarnate:
-    if (Net->isUp(SS.Node) && SS.TransportDead) {
-      installServer(A.Server);
-      ++Report.Reincarnations;
-    }
-    break;
-  case K::PartitionLink:
-    Net->setPartitioned(ClientNodes[A.Client], SS.Node, true);
-    ++Report.Partitions;
-    break;
-  case K::HealLink:
-    Net->setPartitioned(ClientNodes[A.Client], SS.Node, false);
-    break;
-  case K::LossBurstStart:
-    Net->setLinkLoss(ClientNodes[A.Client], SS.Node, A.Rate);
-    ++Report.LossBursts;
-    break;
-  case K::LossBurstEnd:
-    Net->setLinkLoss(ClientNodes[A.Client], SS.Node, A.Rate);
-    break;
-  case K::CorruptBurstStart:
-    Net->setCorruptRate(A.Rate);
-    ++Report.CorruptBursts;
-    break;
-  case K::CorruptBurstEnd:
-    Net->setCorruptRate(A.Rate);
-    break;
+    Kvs[Slot] = apps::installKvStore(G, KC);
   }
 }
 
@@ -491,38 +381,31 @@ void World::runDriver(uint32_t Client) {
   };
   std::vector<PendingOp> Pending;
 
-  auto tally = [this](const RecordOutcome &Out, uint64_t Op) {
-    if (Out.isNormal()) {
+  // Every claimed outcome lands in exactly one tally.
+  auto tally = [this](const auto &Out) {
+    if (Out.isNormal())
       ++Report.Normal;
-      if (Out.value() != Op)
-        Report.Violations.push_back(strprintf(
-            "payload mismatch: op %llu returned %llu",
-            static_cast<unsigned long long>(Op),
-            static_cast<unsigned long long>(Out.value())));
-    } else if (Out.is<ChaosBusy>()) {
-      ++Report.ExceptionReplies;
-      if (Out.get<ChaosBusy>().Op != Op)
-        Report.Violations.push_back(strprintf(
-            "exception payload mismatch on op %llu",
-            static_cast<unsigned long long>(Op)));
-    } else if (Out.is<core::Unavailable>()) {
-      ++Report.Unavailable;
-      const std::string &Why = Out.get<core::Unavailable>().Reason;
-      if (Why == core::reasons::DeadlineExpired)
-        ++Report.Expired;
-      else if (Why == core::reasons::Cancelled)
-        ++Report.Cancelled;
-      else if (Why == core::reasons::Overloaded)
-        ++Report.Shed;
-      else if (Why == core::reasons::CircuitOpen)
-        ++Report.FastFails;
-    } else {
+    else if (Out.template is<core::Unavailable>())
+      Unavail.add(Out.template get<core::Unavailable>().Reason);
+    else if (Out.template is<core::Failure>())
       ++Report.Failed;
-    }
+    else
+      ++Report.ExceptionReplies;
+    return Out.isNormal();
+  };
+  // A record reply, normal or exceptional, carries its op back.
+  auto claim = [&](const RecordOutcome &Out, uint64_t Op) {
+    if (tally(Out) && Out.value() != Op)
+      violate(strprintf("payload mismatch: op %llu returned %llu",
+                        static_cast<unsigned long long>(Op),
+                        static_cast<unsigned long long>(Out.value())));
+    if (Out.is<ChaosBusy>() && Out.get<ChaosBusy>().Op != Op)
+      violate(strprintf("exception payload mismatch on op %llu",
+                        static_cast<unsigned long long>(Op)));
   };
   auto claimAll = [&] {
     for (PendingOp &PO : Pending)
-      tally(PO.P.claim(), PO.Op);
+      claim(PO.P.claim(), PO.Op);
     Pending.clear();
   };
 
@@ -534,34 +417,19 @@ void World::runDriver(uint32_t Client) {
       // (client, op) so the durability audit is exact.
       ++Report.OpsIssued;
       auto H = runtime::bindHandler(*ClientGuardians[Client],
-                                    Agents[Client][Slot], Slots[Slot].Kv.Put);
+                                    Agents[Client][Slot], Kvs[Slot].Put);
       std::string Key =
           strprintf("c%u-o%llu", Client, (unsigned long long)Op);
       std::string Val = strprintf("v%llu", (unsigned long long)Op);
-      auto Out = H.call(Key, Val);
-      if (Out.isNormal()) {
-        ++Report.Normal;
+      if (tally(H.call(Key, Val))) {
         ++Report.DurableAcked;
         Acked.push_back({Slot, std::move(Key), std::move(Val)});
-      } else if (Out.is<core::Unavailable>()) {
-        ++Report.Unavailable;
-        const std::string &Why = Out.get<core::Unavailable>().Reason;
-        if (Why == core::reasons::DeadlineExpired)
-          ++Report.Expired;
-        else if (Why == core::reasons::Cancelled)
-          ++Report.Cancelled;
-        else if (Why == core::reasons::Overloaded)
-          ++Report.Shed;
-        else if (Why == core::reasons::CircuitOpen)
-          ++Report.FastFails;
-      } else {
-        ++Report.Failed;
       }
       S.sleep(sim::usec(R.between(50, 1500)));
       continue;
     }
     RecordHandler H(*ClientGuardians[Client], Agents[Client][Slot],
-                    Slots[Slot].Record);
+                    Records[Slot]);
     if (O.Deadlines) {
       if (opIdempotent(Op)) {
         runtime::RetryPolicy RP;
@@ -593,7 +461,7 @@ void World::runDriver(uint32_t Client) {
       if (Pending.size() >= 8)
         claimAll();
     } else if (Pick < 8) {
-      tally(H.call(Client, Op), Op);
+      claim(H.call(Client, Op), Op);
     } else {
       ++Report.Sends;
       H.send(Client, Op);
@@ -610,69 +478,32 @@ void World::runDriver(uint32_t Client) {
   // after this loop every promise this driver created is resolved.
   for (size_t Slot = 0; Slot != O.Servers; ++Slot) {
     RecordHandler H(*ClientGuardians[Client], Agents[Client][Slot],
-                    Slots[Slot].Record);
+                    Records[Slot]);
     H.synch();
     ++Report.Synchs;
   }
 }
 
-uint64_t fnv1a(uint64_t H, uint64_t V) {
-  for (int I = 0; I != 8; ++I) {
-    H ^= (V >> (I * 8)) & 0xff;
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
 ChaosReport World::finish() {
   ChaosReport &Rep = Report;
   Rep.VirtualEnd = S.now();
+  Rep.Crashes = Faults.Crashes;
+  Rep.Restarts = Faults.Restarts;
+  Rep.Shutdowns = Faults.Shutdowns;
+  Rep.Reincarnations = Faults.Reincarnations;
+  Rep.Partitions = Faults.Partitions;
+  Rep.LossBursts = Faults.LossBursts;
+  Rep.CorruptBursts = Faults.CorruptBursts;
+  Rep.Unavailable = Unavail.Total;
+  Rep.Expired = Unavail.Expired;
+  Rep.Cancelled = Unavail.Cancelled;
+  Rep.Shed = Unavail.Shed;
+  Rep.FastFails = Unavail.FastFails;
 
-  auto violate = [&](std::string Msg) {
-    Rep.Violations.push_back(std::move(Msg));
-  };
-
-  // 1. Quiescence: the scheduler drained, so any live process is stuck
-  // forever (a missed wakeup on a kill/break path).
-  if (size_t N = S.liveProcessCount())
-    violate(strprintf("%zu processes still live at quiescence", N));
-
-  // 2. Network conservation: every datagram is delivered or dropped.
+  // 1-3. Quiescence, network and exact transport conservation, hygiene.
+  auditQuiescence(/*ServersCanLoseCalls=*/false);
   net::NetCounters NC = Net->counters();
-  if (NC.DatagramsSent + NC.DatagramsDuplicated !=
-      NC.DatagramsDelivered + NC.DatagramsDropped)
-    violate(strprintf("net conservation: %llu sent + %llu dup != %llu "
-                      "delivered + %llu dropped",
-                      (unsigned long long)NC.DatagramsSent,
-                      (unsigned long long)NC.DatagramsDuplicated,
-                      (unsigned long long)NC.DatagramsDelivered,
-                      (unsigned long long)NC.DatagramsDropped));
   Rep.StaleEpochDrops = Net->staleEpochDrops();
-
-  // 3. Per-transport conservation and hygiene, clients and every server
-  // incarnation alike.
-  auto audit = [&](const std::string &Who, runtime::Guardian &G) {
-    stream::StreamCounters C = G.transport().counters();
-    if (C.CallsIssued != C.CallsFulfilled + C.CallsBroken)
-      violate(strprintf("%s: %llu issued != %llu fulfilled + %llu broken",
-                        Who.c_str(), (unsigned long long)C.CallsIssued,
-                        (unsigned long long)C.CallsFulfilled,
-                        (unsigned long long)C.CallsBroken));
-    if (size_t N = G.transport().armedTimerCount())
-      violate(strprintf("%s: %zu timers still armed", Who.c_str(), N));
-    if (size_t N = G.transport().brokenSenderStreamCount())
-      violate(strprintf("%s: %zu broken sender streams not reclaimed",
-                        Who.c_str(), N));
-    if (size_t N = G.liveCallProcessCount())
-      violate(strprintf("%s: %zu call processes leaked", Who.c_str(), N));
-    if (size_t N = G.gatedCallCount())
-      violate(strprintf("%s: %zu gated calls leaked", Who.c_str(), N));
-    Rep.OrphansDestroyed += G.orphansDestroyed();
-  };
-  for (size_t C = 0; C != ClientGuardians.size(); ++C)
-    audit(strprintf("cli%zu", C), *ClientGuardians[C]);
-  for (auto &G : ServerGuardians)
-    audit(G->name(), *G);
 
   // 3b. Resilience accounting. Server-side counters bound the
   // client-observed ones from above: a deadline drop, shed, or cancel is
@@ -681,11 +512,13 @@ ChaosReport World::finish() {
   // counts server-side).
   uint64_t TransportFastFails = 0;
   for (auto &G : ClientGuardians) {
+    Rep.OrphansDestroyed += G->orphansDestroyed();
     Rep.Retries += G->retriesIssued();
     Rep.CancelsSent += G->transport().counters().CancelsSent;
     TransportFastFails += G->transport().counters().BreakerFastFails;
   }
   for (auto &G : ServerGuardians) {
+    Rep.OrphansDestroyed += G->orphansDestroyed();
     Rep.ServerExpired += G->deadlinesExpired();
     Rep.ServerShed += G->callsShed();
   }
@@ -811,45 +644,28 @@ ChaosReport World::finish() {
   // crashes.
   if (O.Storage) {
     for (size_t I = 0; I != Slots.size(); ++I) {
-      ServerSlot &SS = Slots[I];
-      Rep.StorageCrashes += SS.Wal->crashes();
-      Rep.TornTails += SS.Wal->tornTails();
-      Rep.Replayed += SS.Kv.Store->Replayed;
+      const apps::KvStore::State &Live = *Kvs[I].Store;
+      Rep.Replayed += Live.Replayed;
       std::map<std::string, std::string> Media =
-          apps::replayKvData(SS.Wal->scan());
-      if (Media != SS.Kv.Store->Data)
+          apps::replayKvData(Slots[I].Media[0]->scan());
+      if (Media != Live.Data)
         violate(strprintf("srv%zu: media replay diverges from live state "
                           "(%zu media keys vs %zu live)",
-                          I, Media.size(), SS.Kv.Store->Data.size()));
+                          I, Media.size(), Live.Data.size()));
     }
     for (const DurableAck &A : Acked) {
-      const auto &Live = Slots[A.Slot].Kv.Store->Data;
+      const auto &Live = Kvs[A.Slot].Store->Data;
       auto It = Live.find(A.Key);
       if (It == Live.end() || It->second != A.Val)
         violate(strprintf("acked durable write %s lost from srv%zu",
                           A.Key.c_str(), A.Slot));
     }
-    if (Rep.TornTails > Rep.StorageCrashes)
-      violate(strprintf("%llu torn tails > %llu storage crashes",
-                        (unsigned long long)Rep.TornTails,
-                        (unsigned long long)Rep.StorageCrashes));
+    auditMedia(Rep.StorageCrashes, Rep.TornTails);
   }
 
-  // 7. Determinism oracle: digest the full trace-event stream in order.
-  const MetricsRegistry &Reg = S.metrics();
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (const TraceEvent &E : Reg.events()) {
-    H = fnv1a(H, E.TsNs);
-    H = fnv1a(H, static_cast<uint64_t>(E.Kind));
-    H = fnv1a(H, E.Node);
-    H = fnv1a(H, E.Id);
-    H = fnv1a(H, E.Seq);
-    H = fnv1a(H, E.DurNs);
-    for (char C : E.Detail)
-      H = fnv1a(H, static_cast<unsigned char>(C));
-  }
-  Rep.TraceEvents = Reg.events().size() + Reg.droppedEvents();
-  Rep.TraceHash = H;
+  // 7. Determinism oracle.
+  digestTrace(Rep.TraceEvents, Rep.TraceHash);
+  Rep.Violations = std::move(Violations);
   return Rep;
 }
 

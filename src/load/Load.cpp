@@ -8,7 +8,7 @@
 
 #include "promises/apps/KvStore.h"
 #include "promises/apps/TwoPhase.h"
-#include "promises/chaos/Chaos.h"
+#include "promises/chaos/Harness.h"
 #include "promises/runtime/RemoteHandler.h"
 #include "promises/storage/Storage.h"
 #include "promises/support/Rng.h"
@@ -253,40 +253,13 @@ std::vector<std::string> LoadScenario::names() {
 
 namespace {
 
-uint64_t mixSeed(uint64_t Seed, uint64_t Salt) {
-  uint64_t X = Seed + 0x9e3779b97f4a7c15ull * (Salt + 1);
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
-
-uint64_t fnv1a(uint64_t H, uint64_t V) {
-  for (int I = 0; I != 8; ++I) {
-    H ^= (V >> (I * 8)) & 0xff;
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
-/// One server identity: a node hosting a succession of guardian
-/// incarnations (chaos can crash/reincarnate them). Old incarnations are
-/// kept for the quiescence audit.
-struct ServerSlot {
-  net::NodeId Node = 0;
-  runtime::Guardian *Current = nullptr;
-  apps::KvStore Kv;
-  apps::TxnKv Txn;
-  bool TransportDead = false;
-  /// Durable runs only: the slot's media, owned by the *node*, not the
-  /// incarnation — a restarted guardian replays them before serving.
-  std::unique_ptr<storage::StableStore> KvWal;
-  std::unique_ptr<storage::StableStore> TxnWal;
-};
+using chaos::mixSeed;
 
 /// Per-tenant mutable tallies plus the registry instruments they feed
 /// (docs/OBSERVABILITY.md: the load.* family, labelled {tenant=...}).
 struct Tally {
   TenantReport R;
+  chaos::UnavailableSplit Unavail;
   Counter *COffered = nullptr;
   Counter *CNormal = nullptr;
   Counter *CShed = nullptr;
@@ -295,17 +268,22 @@ struct Tally {
   Histogram *LatUs = nullptr;
 };
 
-struct World {
+/// Each server slot's media: the KvStore redo log, then the TxnKv
+/// prepared/decision log.
+enum : size_t { KvMedia, TxnMedia };
+
+/// The open-loop workload on the shared harness: per tenant one client
+/// guardian running an arrival process, per server slot a KvStore and a
+/// TxnKv, and (Scenario.Chaos) a fault plan over the first half.
+struct World : chaos::Harness {
   explicit World(const LoadOptions &Opt);
 
-  void installServer(size_t Slot);
-  void applyAction(const chaos::ChaosAction &A);
+  void installServer(size_t Slot) override;
   double shapeFactor(const TenantSpec &T, Time Now) const;
   void runArrivals(size_t TIdx);
   void runEcho(size_t TIdx, uint64_t Seq, size_t Lane, Time ArrivedAt);
   void runNewOrder(size_t TIdx, uint64_t Seq, Time ArrivedAt);
   void recordNormal(size_t TIdx, Time ArrivedAt, Time T0);
-  void recordUnavailable(size_t TIdx, const std::string &Why);
   LoadReport finish();
 
   Time splitAt() const {
@@ -316,13 +294,8 @@ struct World {
   LoadOptions O;
   Time Duration; ///< Scenario duration after DurationScale.
   bool UseStorage;
-  double TornRate, LostRate;
-  sim::Simulation S;
-  std::unique_ptr<net::SimNetwork> Net;
-  std::vector<ServerSlot> Slots;
-  std::vector<net::NodeId> ClientNodes; ///< One per tenant.
-  std::vector<std::unique_ptr<runtime::Guardian>> ServerGuardians;
-  std::vector<std::unique_ptr<runtime::Guardian>> ClientGuardians;
+  std::vector<apps::KvStore> Kvs; ///< Current incarnation's ports, per slot.
+  std::vector<apps::TxnKv> Txns;
   std::vector<std::vector<stream::AgentId>> Lanes; ///< [tenant][srv*Streams+i]
   std::vector<Tally> Tallies;
   /// Durable runs: one coordinator kit per NewOrder tenant, living on
@@ -331,74 +304,53 @@ struct World {
   std::vector<std::unique_ptr<storage::StableStore>> CoordWals;
   std::vector<apps::TwoPhaseCoordinatorKit> Kits;
   Histogram *GlobalLat = nullptr;
-  chaos::ChaosPlan Plan; ///< Empty unless Scenario.Chaos.
-  uint32_t NextGen = 0;
   LoadReport Report;
 };
 
-stream::StreamConfig loadStreamConfig(const LoadScenario &Sc, uint64_t Seed,
-                                      uint64_t Salt) {
-  stream::StreamConfig C;
-  if (Sc.Chaos) {
-    // Chaos-tightened recovery, as in the chaos harness: breaks land
-    // within a fault outage instead of dominating the run.
-    C.MaxBatchCalls = 8;
-    C.RetransmitTimeout = sim::msec(6);
-    C.RetransmitTimeoutMax = sim::msec(30);
-    C.MaxRetries = 3;
-  }
-  // MaxInFlightCalls stays 0 (unbounded): the generator is open-loop, so
-  // client-side flow control would silently convert overload into sender
-  // queueing and hide the server's shedding behavior.
-  C.RetransSeed = mixSeed(Seed, Salt);
-  return C;
+net::NetConfig loadNetConfig(const LoadOptions &O) {
+  const LoadScenario &Sc = O.Scenario;
+  if (Sc.Chaos)
+    return chaos::profileNetConfig(chaos::requireProfile(Sc.ChaosProfile),
+                                   O.Seed);
+  // Clean wire: losses would blur the cheap-rejection conservation
+  // checks, and the point of the non-chaos scenarios is overload alone.
+  net::NetConfig NC;
+  NC.Propagation = sim::usec(200);
+  NC.Seed = mixSeed(O.Seed, 0);
+  return NC;
+}
+
+/// Fault scenarios get the chaos-tightened recovery. MaxInFlightCalls
+/// stays 0 (unbounded) either way: the generator is open-loop, so
+/// client-side flow control would silently convert overload into sender
+/// queueing and hide the server's shedding behavior.
+stream::StreamConfig loadStreamConfig(const LoadScenario &Sc) {
+  return Sc.Chaos ? chaos::faultStreamConfig() : stream::StreamConfig();
 }
 
 World::World(const LoadOptions &Opt)
-    : O(Opt),
+    : Harness(Opt.Seed, Opt.Backend, loadNetConfig(Opt), Opt.Scenario.Servers,
+              Opt.Scenario.Tenants.size()),
+      O(Opt),
       Duration(static_cast<Time>(
           static_cast<double>(Opt.Scenario.Duration) * Opt.DurationScale)),
       UseStorage(Opt.Scenario.Storage || Opt.ForceStorage),
-      TornRate(Opt.TornRate >= 0 ? Opt.TornRate : Opt.Scenario.TornRate),
-      LostRate(Opt.LostRate >= 0 ? Opt.LostRate : Opt.Scenario.LostRate),
-      S(sim::SimConfig{.Backend = Opt.Backend}) {
+      Kvs(Opt.Scenario.Servers), Txns(Opt.Scenario.Servers) {
   const LoadScenario &Sc = O.Scenario;
-  // The trace-event stream is the determinism oracle; always record it.
-  S.metrics().setEnabled(true);
   GlobalLat = &S.metrics().histogram("load.latency_us");
 
-  net::NetConfig NC;
-  NC.Seed = mixSeed(O.Seed, 0);
-  if (Sc.Chaos) {
-    const chaos::ChaosProfile *P = chaos::ChaosProfile::byName(Sc.ChaosProfile);
-    if (!P)
-      P = &chaos::ChaosProfile::mixed();
-    NC.LossRate = P->BaseLoss;
-    NC.DupRate = P->BaseDup;
-    NC.JitterMax = P->BaseJitter;
-    NC.Propagation = sim::msec(1);
-  } else {
-    // Clean wire: losses would blur the cheap-rejection conservation
-    // checks, and the point of the non-chaos scenarios is overload alone.
-    NC.Propagation = sim::usec(200);
-  }
-  Net = std::make_unique<net::SimNetwork>(S, NC);
-
-  Slots.resize(Sc.Servers);
-  for (size_t I = 0; I != Sc.Servers; ++I)
-    Slots[I].Node = Net->addNode(strprintf("srv%zu", I));
-  for (size_t I = 0; I != Sc.Tenants.size(); ++I)
-    ClientNodes.push_back(Net->addNode(strprintf("cli%zu", I)));
   if (UseStorage) {
+    double TornRate = O.TornRate >= 0 ? O.TornRate : Sc.TornRate;
+    double LostRate = O.LostRate >= 0 ? O.LostRate : Sc.LostRate;
     for (size_t I = 0; I != Sc.Servers; ++I) {
       storage::StorageConfig KC;
       KC.Name = strprintf("srv%zu.kv", I);
       KC.Faults = {LostRate, TornRate, mixSeed(O.Seed, 7000 + I)};
-      Slots[I].KvWal = std::make_unique<storage::StableStore>(S, KC);
+      Slots[I].Media.push_back(std::make_unique<storage::StableStore>(S, KC));
       storage::StorageConfig TC;
       TC.Name = strprintf("srv%zu.txn", I);
       TC.Faults = {LostRate, TornRate, mixSeed(O.Seed, 7100 + I)};
-      Slots[I].TxnWal = std::make_unique<storage::StableStore>(S, TC);
+      Slots[I].Media.push_back(std::make_unique<storage::StableStore>(S, TC));
     }
     CoordWals.resize(Sc.Tenants.size());
     Kits.resize(Sc.Tenants.size());
@@ -426,13 +378,13 @@ World::World(const LoadOptions &Opt)
     Ta.LatUs = &S.metrics().histogram("load.latency_us", L);
 
     runtime::GuardianConfig GC;
-    GC.Stream = loadStreamConfig(Sc, O.Seed, 1000 + T);
+    GC.Stream = loadStreamConfig(Sc);
     if (Sc.BreakerThreshold > 0) {
       GC.Stream.BreakerThreshold = Sc.BreakerThreshold;
       GC.Stream.BreakerCooldown = Sc.BreakerCooldown;
     }
-    ClientGuardians.push_back(std::make_unique<runtime::Guardian>(
-        *Net, ClientNodes[T], strprintf("cli-%s", Ten.Name.c_str()), GC));
+    runtime::Guardian &G =
+        addClient(strprintf("cli-%s", Ten.Name.c_str()), GC);
     if (UseStorage && Ten.Op == OpKind::NewOrder) {
       storage::StorageConfig CC;
       CC.Name = strprintf("coord%zu", T);
@@ -440,63 +392,56 @@ World::World(const LoadOptions &Opt)
       // needs to exist so decisions are forced before phase 2.
       CC.Faults = {0.0, 0.0, mixSeed(O.Seed, 7200 + T)};
       CoordWals[T] = std::make_unique<storage::StableStore>(S, CC);
-      Kits[T] = apps::installTwoPhaseCoordinator(*ClientGuardians[T],
-                                                 *CoordWals[T], T);
+      Kits[T] = apps::installTwoPhaseCoordinator(G, *CoordWals[T], T);
     }
     for (size_t Srv = 0; Srv != Sc.Servers; ++Srv)
       for (size_t I = 0; I != std::max<size_t>(1, Ten.Streams); ++I)
-        Lanes[T].push_back(ClientGuardians[T]->newAgent());
-    ClientGuardians[T]->spawnProcess("arrivals",
-                                    [this, T] { runArrivals(T); });
+        Lanes[T].push_back(G.newAgent());
+    G.spawnProcess("arrivals", [this, T] { runArrivals(T); });
   }
 
   if (Sc.Chaos) {
     chaos::ChaosOptions CO;
     CO.Seed = O.Seed;
-    const chaos::ChaosProfile *P = chaos::ChaosProfile::byName(Sc.ChaosProfile);
-    CO.Profile = P ? *P : chaos::ChaosProfile::mixed();
+    CO.Profile = chaos::requireProfile(Sc.ChaosProfile);
     CO.Clients = Sc.Tenants.size();
     CO.Servers = Sc.Servers;
     // Faults stop (and the cleanup phase heals everything) well before
     // arrivals do, so the run always drains.
     CO.Horizon = Duration / 2;
-    Plan = chaos::ChaosPlan::generate(CO);
-    for (const chaos::ChaosAction &A : Plan.Actions)
-      S.schedule(A.At, [this, A] { applyAction(A); });
+    schedulePlan(chaos::ChaosPlan::generate(CO));
   }
 }
 
 void World::installServer(size_t Slot) {
-  ServerSlot &SS = Slots[Slot];
   // The dying incarnation's resolver tallies would vanish with it;
   // accumulate them before the new incarnation replaces the state.
-  if (UseStorage && SS.Txn.Store) {
-    Report.InDoubtRecovered += SS.Txn.Store->InDoubtRecovered;
-    Report.ResolvedCommits += SS.Txn.Store->ResolvedCommits;
-    Report.ResolvedAborts += SS.Txn.Store->ResolvedAborts;
+  if (UseStorage && Txns[Slot].Store) {
+    const apps::TxnKv::State &Old = *Txns[Slot].Store;
+    Report.InDoubtRecovered += Old.InDoubtRecovered;
+    Report.ResolvedCommits += Old.ResolvedCommits;
+    Report.ResolvedAborts += Old.ResolvedAborts;
   }
-  uint32_t Gen = ++NextGen;
   const LoadScenario &Sc = O.Scenario;
   runtime::GuardianConfig GC;
-  GC.Stream = loadStreamConfig(Sc, O.Seed, 2000 + Gen);
+  GC.Stream = loadStreamConfig(Sc);
   GC.MaxPendingCalls = Sc.MaxPendingCalls;
   GC.MaxPendingPerStream = Sc.MaxPendingPerStream;
-  auto G = std::make_unique<runtime::Guardian>(
-      *Net, SS.Node, strprintf("srv%zu#%u", Slot, Gen), GC);
+  runtime::Guardian &G = incarnate(Slot, GC);
   // The service ports run in parallel (the paper's explicit override):
   // MaxPendingCalls then bounds *concurrency*, so the guardian is an
   // N-slot loss system with capacity MaxPendingCalls / ServiceTime.
-  G->setParallelGroup(runtime::Guardian::DefaultGroup);
+  G.setParallelGroup(runtime::Guardian::DefaultGroup);
   apps::KvStoreConfig KvC;
   KvC.ServiceTime = Sc.ServiceTime;
   apps::TxnKvConfig TxC;
   TxC.ServiceTime = Sc.ServiceTime;
   if (UseStorage) {
-    KvC.Wal = SS.KvWal.get();
-    TxC.Wal = SS.TxnWal.get();
+    KvC.Wal = Slots[Slot].Media[KvMedia].get();
+    TxC.Wal = Slots[Slot].Media[TxnMedia].get();
     // One status probe: route by the gtid's coordinator id to the owning
     // tenant's kit, called from this incarnation over a fresh lane.
-    TxC.QueryStatus = [this, GP = G.get()](uint64_t Gtid) -> int {
+    TxC.QueryStatus = [this, GP = &G](uint64_t Gtid) -> int {
       size_t Cid = static_cast<size_t>(
           apps::TwoPhaseCoordinatorKit::State::coordOf(Gtid));
       if (Cid >= Kits.size() || !Kits[Cid].St)
@@ -507,66 +452,8 @@ void World::installServer(size_t Slot) {
       return Out.isNormal() ? static_cast<int>(Out.value()) : -1;
     };
   }
-  SS.Kv = apps::installKvStore(*G, KvC);
-  SS.Txn = apps::installTxnKv(*G, TxC);
-  SS.Current = G.get();
-  SS.TransportDead = false;
-  ServerGuardians.push_back(std::move(G));
-}
-
-void World::applyAction(const chaos::ChaosAction &A) {
-  using K = chaos::ChaosAction::Kind;
-  ServerSlot &SS = Slots[A.Server];
-  switch (A.K) {
-  case K::CrashNode:
-    if (Net->isUp(SS.Node)) {
-      Net->crash(SS.Node);
-      if (SS.KvWal)
-        SS.KvWal->crash();
-      if (SS.TxnWal)
-        SS.TxnWal->crash();
-      ++Report.Crashes;
-    }
-    break;
-  case K::RestartNode:
-    if (!Net->isUp(SS.Node)) {
-      Net->restart(SS.Node);
-      installServer(A.Server);
-      ++Report.Restarts;
-    }
-    break;
-  case K::TransportShutdown:
-    if (Net->isUp(SS.Node) && !SS.TransportDead && !SS.Current->crashed()) {
-      SS.Current->transport().shutdown();
-      SS.TransportDead = true;
-      ++Report.Shutdowns;
-    }
-    break;
-  case K::ServerReincarnate:
-    if (Net->isUp(SS.Node) && SS.TransportDead) {
-      installServer(A.Server);
-      ++Report.Reincarnations;
-    }
-    break;
-  case K::PartitionLink:
-    Net->setPartitioned(ClientNodes[A.Client], SS.Node, true);
-    ++Report.Partitions;
-    break;
-  case K::HealLink:
-    Net->setPartitioned(ClientNodes[A.Client], SS.Node, false);
-    break;
-  case K::LossBurstStart:
-    Net->setLinkLoss(ClientNodes[A.Client], SS.Node, A.Rate);
-    ++Report.LossBursts;
-    break;
-  case K::LossBurstEnd:
-    Net->setLinkLoss(ClientNodes[A.Client], SS.Node, A.Rate);
-    break;
-  case K::CorruptBurstStart:
-  case K::CorruptBurstEnd:
-    Net->setCorruptRate(A.Rate); // Not planned here (Corrupt is off).
-    break;
-  }
+  Kvs[Slot] = apps::installKvStore(G, KvC);
+  Txns[Slot] = apps::installTxnKv(G, TxC);
 }
 
 double World::shapeFactor(const TenantSpec &T, Time Now) const {
@@ -667,28 +554,10 @@ void World::recordNormal(size_t TIdx, Time ArrivedAt, Time T0) {
   GlobalLat->observe(Us);
 }
 
-void World::recordUnavailable(size_t TIdx, const std::string &Why) {
-  Tally &Ta = Tallies[TIdx];
-  ++Ta.R.Completed;
-  if (Why == core::reasons::Overloaded) {
-    ++Ta.R.Shed;
-    Ta.CShed->inc();
-  } else if (Why == core::reasons::CircuitOpen) {
-    ++Ta.R.FastFails;
-    Ta.CFastFail->inc();
-  } else if (Why == core::reasons::DeadlineExpired) {
-    ++Ta.R.Expired;
-    Ta.CExpired->inc();
-  } else {
-    ++Ta.R.OtherUnavailable;
-  }
-}
-
 void World::runEcho(size_t TIdx, uint64_t Seq, size_t Lane, Time ArrivedAt) {
   const TenantSpec &T = O.Scenario.Tenants[TIdx];
   size_t Streams = std::max<size_t>(1, T.Streams);
-  size_t Srv = Lane / Streams;
-  ServerSlot &SS = Slots[Srv];
+  const apps::KvStore &Kv = Kvs[Lane / Streams];
   Tally &Ta = Tallies[TIdx];
   Time T0 = S.now();
 
@@ -711,8 +580,8 @@ void World::runEcho(size_t TIdx, uint64_t Seq, size_t Lane, Time ArrivedAt) {
     if (Out.isNormal()) {
       recordNormal(TIdx, ArrivedAt, T0);
     } else if (Out.template is<core::Unavailable>()) {
-      recordUnavailable(TIdx,
-                        Out.template get<core::Unavailable>().Reason);
+      ++Ta.R.Completed;
+      Ta.Unavail.add(Out.template get<core::Unavailable>().Reason);
     } else if (Out.template is<core::Failure>()) {
       ++Ta.R.Completed;
       ++Ta.R.Failed;
@@ -724,13 +593,13 @@ void World::runEcho(size_t TIdx, uint64_t Seq, size_t Lane, Time ArrivedAt) {
 
   if (T.Op == OpKind::KvPut) {
     auto H = runtime::bindHandler(*ClientGuardians[TIdx],
-                                  Lanes[TIdx][Lane], SS.Kv.Put);
+                                  Lanes[TIdx][Lane], Kv.Put);
     tallyOutcome(configure(H).call(
         strprintf("k%llu", static_cast<unsigned long long>(Seq % 1024)),
         strprintf("v%llu", static_cast<unsigned long long>(Seq))));
   } else {
     auto H = runtime::bindHandler(*ClientGuardians[TIdx],
-                                  Lanes[TIdx][Lane], SS.Kv.Echo);
+                                  Lanes[TIdx][Lane], Kv.Echo);
     tallyOutcome(configure(H).call(
         strprintf("p%llu", static_cast<unsigned long long>(Seq))));
   }
@@ -747,7 +616,7 @@ void World::runNewOrder(size_t TIdx, uint64_t Seq, Time ArrivedAt) {
   apps::TwoPhaseCoordinator Txn(*ClientGuardians[TIdx],
                                 UseStorage ? &Kits[TIdx] : nullptr);
   for (size_t Srv = 0; Srv != Sc.Servers; ++Srv)
-    Txn.enlist(Slots[Srv].Txn);
+    Txn.enlist(Txns[Srv]);
   size_t Puts = std::max<size_t>(4, Sc.Servers);
   for (size_t I = 0; I != Puts; ++I) {
     size_t Part = (Seq + I) % Sc.Servers;
@@ -783,59 +652,16 @@ LoadReport World::finish() {
   const LoadScenario &Sc = O.Scenario;
   LoadReport &Rep = Report;
   Rep.VirtualEnd = S.now();
+  Rep.Crashes = Faults.Crashes;
+  Rep.Restarts = Faults.Restarts;
+  Rep.Shutdowns = Faults.Shutdowns;
+  Rep.Reincarnations = Faults.Reincarnations;
+  Rep.Partitions = Faults.Partitions;
+  Rep.LossBursts = Faults.LossBursts;
 
-  auto violate = [&](std::string Msg) {
-    Rep.Violations.push_back(std::move(Msg));
-  };
-
-  // 1. Quiescence: the scheduler drained, so any live process is stuck
-  // forever. This is the regression gate for the shed->DoneThrough hang
-  // class: a shed call that fails to settle its seq leaves every
-  // successor on its stream gated for good.
-  if (size_t N = S.liveProcessCount())
-    violate(strprintf("%zu processes still live at quiescence", N));
-
-  // 2. Network conservation.
-  net::NetCounters NC = Net->counters();
-  if (NC.DatagramsSent + NC.DatagramsDuplicated !=
-      NC.DatagramsDelivered + NC.DatagramsDropped)
-    violate(strprintf("net conservation: %llu sent + %llu dup != %llu "
-                      "delivered + %llu dropped",
-                      (unsigned long long)NC.DatagramsSent,
-                      (unsigned long long)NC.DatagramsDuplicated,
-                      (unsigned long long)NC.DatagramsDelivered,
-                      (unsigned long long)NC.DatagramsDropped));
-
-  // 3. Per-transport conservation and hygiene, clients and every server
-  // incarnation alike (the PR 3/5 audit, here under storm load).
-  auto audit = [&](const std::string &Who, runtime::Guardian &G,
-                   bool CanLoseCalls) {
-    stream::StreamCounters C = G.transport().counters();
-    // Durable servers issue status probes, and a node crash kills a
-    // prober mid-call, leaving that call permanently unsettled in the
-    // (node, port)-keyed counters its successors share. For those,
-    // conservation relaxes to a bound; clients must balance exactly.
-    if (CanLoseCalls ? C.CallsFulfilled + C.CallsBroken > C.CallsIssued
-                     : C.CallsIssued != C.CallsFulfilled + C.CallsBroken)
-      violate(strprintf("%s: %llu issued != %llu fulfilled + %llu broken",
-                        Who.c_str(), (unsigned long long)C.CallsIssued,
-                        (unsigned long long)C.CallsFulfilled,
-                        (unsigned long long)C.CallsBroken));
-    if (size_t N = G.transport().armedTimerCount())
-      violate(strprintf("%s: %zu timers still armed", Who.c_str(), N));
-    if (size_t N = G.transport().brokenSenderStreamCount())
-      violate(strprintf("%s: %zu broken sender streams not reclaimed",
-                        Who.c_str(), N));
-    if (size_t N = G.liveCallProcessCount())
-      violate(strprintf("%s: %zu call processes leaked", Who.c_str(), N));
-    if (size_t N = G.gatedCallCount())
-      violate(strprintf("%s: %zu gated calls leaked", Who.c_str(), N));
-  };
-  for (size_t T = 0; T != ClientGuardians.size(); ++T)
-    audit(strprintf("cli-%s", Sc.Tenants[T].Name.c_str()),
-          *ClientGuardians[T], false);
-  for (auto &G : ServerGuardians)
-    audit(G->name(), *G, UseStorage);
+  // 1-3. Quiescence (the gate for the shed->DoneThrough hang class),
+  // network and transport conservation, transport hygiene.
+  auditQuiescence(/*ServersCanLoseCalls=*/UseStorage);
 
   // Server-side aggregates.
   for (auto &G : ServerGuardians) {
@@ -853,8 +679,17 @@ LoadReport World::finish() {
   double OverSec = static_cast<double>(Duration) / 1e9 - SplitSec;
   for (size_t T = 0; T != Sc.Tenants.size(); ++T) {
     const TenantSpec &Ten = Sc.Tenants[T];
-    TenantReport &R = Tallies[T].R;
+    Tally &Ta = Tallies[T];
+    TenantReport &R = Ta.R;
     R.Retries = ClientGuardians[T]->retriesIssued();
+    R.Shed = Ta.Unavail.Shed;
+    R.FastFails = Ta.Unavail.FastFails;
+    R.Expired = Ta.Unavail.Expired;
+    // Cancels are not part of the load split: they count as other.
+    R.OtherUnavailable = Ta.Unavail.Total - R.Shed - R.FastFails - R.Expired;
+    Ta.CShed->inc(R.Shed);
+    Ta.CFastFail->inc(R.FastFails);
+    Ta.CExpired->inc(R.Expired);
 
     // Every arrival resolves to exactly one tallied outcome.
     if (R.Completed != R.Offered)
@@ -906,9 +741,9 @@ LoadReport World::finish() {
     // Reduce.
     R.GoodputCps = static_cast<double>(R.Normal) /
                    (static_cast<double>(Duration) / 1e9);
-    R.P50Us = Tallies[T].LatUs->percentile(50);
-    R.P99Us = Tallies[T].LatUs->percentile(99);
-    R.P999Us = Tallies[T].LatUs->percentile(99.9);
+    R.P50Us = Ta.LatUs->percentile(50);
+    R.P99Us = Ta.LatUs->percentile(99);
+    R.P999Us = Ta.LatUs->percentile(99.9);
     Rep.Offered += R.Offered;
     Rep.Completed += R.Completed;
     Rep.Normal += R.Normal;
@@ -1004,7 +839,7 @@ LoadReport World::finish() {
     if (AnyTxn) {
       uint64_t Commits = 0, InDoubt = 0, Committed = 0;
       for (size_t Srv = 0; Srv != Sc.Servers; ++Srv) {
-        const auto &St = *Slots[Srv].Txn.Store;
+        const auto &St = *Txns[Srv].Store;
         if (!St.Txns.empty())
           violate(strprintf("srv%zu: %zu transactions stranded", Srv,
                             St.Txns.size()));
@@ -1057,21 +892,19 @@ LoadReport World::finish() {
                                              NewOrderInDoubt)));
 
     for (size_t Srv = 0; Srv != Sc.Servers; ++Srv) {
-      ServerSlot &SS = Slots[Srv];
-      Rep.StorageCrashes += SS.KvWal->crashes() + SS.TxnWal->crashes();
-      Rep.TornTails += SS.KvWal->tornTails() + SS.TxnWal->tornTails();
-      Rep.Replayed += SS.Kv.Store->Replayed + SS.Txn.Store->Replayed;
-      Rep.InDoubtRecovered += SS.Txn.Store->InDoubtRecovered;
-      Rep.ResolvedCommits += SS.Txn.Store->ResolvedCommits;
-      Rep.ResolvedAborts += SS.Txn.Store->ResolvedAborts;
+      const apps::TxnKv::State &Live = *Txns[Srv].Store;
+      Rep.Replayed += Kvs[Srv].Store->Replayed + Live.Replayed;
+      Rep.InDoubtRecovered += Live.InDoubtRecovered;
+      Rep.ResolvedCommits += Live.ResolvedCommits;
+      Rep.ResolvedAborts += Live.ResolvedAborts;
 
-      const apps::TxnKv::State &Live = *SS.Txn.Store;
       for (const auto &[Id, T] : Live.Txns)
         if (T.Prepared)
           violate(strprintf("srv%zu: txn %u still prepared (in doubt) at "
                             "quiescence",
                             Srv, Id));
-      apps::TxnKv::State Media = apps::replayTxnState(SS.TxnWal->scan());
+      apps::TxnKv::State Media =
+          apps::replayTxnState(Slots[Srv].Media[TxnMedia]->scan());
       if (!Media.Txns.empty())
         violate(strprintf("srv%zu: %zu prepared txns on media lack a "
                           "logged decision",
@@ -1084,7 +917,8 @@ LoadReport World::finish() {
         violate(strprintf("srv%zu: txn media replay diverges from live "
                           "applied set (%zu vs %zu gtids)",
                           Srv, Media.Applied.size(), Live.Applied.size()));
-      if (apps::replayKvData(SS.KvWal->scan()) != SS.Kv.Store->Data)
+      if (apps::replayKvData(Slots[Srv].Media[KvMedia]->scan()) !=
+          Kvs[Srv].Store->Data)
         violate(strprintf("srv%zu: kv media replay diverges from live "
                           "state",
                           Srv));
@@ -1099,28 +933,12 @@ LoadReport World::finish() {
                             "committed",
                             Srv, (unsigned long long)G));
     }
-    if (Rep.TornTails > Rep.StorageCrashes)
-      violate(strprintf("%llu torn tails > %llu storage crashes",
-                        (unsigned long long)Rep.TornTails,
-                        (unsigned long long)Rep.StorageCrashes));
+    auditMedia(Rep.StorageCrashes, Rep.TornTails);
   }
 
-  // 10. Determinism oracle: digest the full trace-event stream in order.
-  const MetricsRegistry &Reg = S.metrics();
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (const TraceEvent &E : Reg.events()) {
-    H = fnv1a(H, E.TsNs);
-    H = fnv1a(H, static_cast<uint64_t>(E.Kind));
-    H = fnv1a(H, E.Node);
-    H = fnv1a(H, E.Id);
-    H = fnv1a(H, E.Seq);
-    H = fnv1a(H, E.DurNs);
-    for (char C : E.Detail)
-      H = fnv1a(H, static_cast<unsigned char>(C));
-  }
-  Rep.TraceEvents = Reg.events().size() + Reg.droppedEvents();
-  Rep.TraceHash = H;
-
+  // 10. Determinism oracle.
+  digestTrace(Rep.TraceEvents, Rep.TraceHash);
+  Rep.Violations = std::move(Violations);
   for (Tally &Ta : Tallies)
     Rep.Tenants.push_back(Ta.R);
   return Rep;

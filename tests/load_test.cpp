@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "promises/chaos/Chaos.h"
 #include "promises/load/Load.h"
 #include "promises/runtime/RemoteHandler.h"
 
@@ -52,11 +53,21 @@ TEST(LoadCatalogue, NamesAreUniqueAndResolvable) {
     EXPECT_EQ(Sc->Name, N);
     EXPECT_FALSE(Sc->Summary.empty());
     EXPECT_FALSE(Sc->Tenants.empty());
+    if (Sc->Chaos)
+      EXPECT_NE(chaos::ChaosProfile::byName(Sc->ChaosProfile), nullptr)
+          << N << " runs unknown chaos profile " << Sc->ChaosProfile;
   }
   auto Sorted = Names;
   std::sort(Sorted.begin(), Sorted.end());
   EXPECT_EQ(std::unique(Sorted.begin(), Sorted.end()), Sorted.end());
   EXPECT_EQ(LoadScenario::byName("no-such-scenario"), nullptr);
+}
+
+TEST(LoadCatalogue, UnknownChaosProfileIsRejected) {
+  // A misspelt profile must not silently run another one.
+  LoadOptions O = optionsFor("chaos-storm");
+  O.Scenario.ChaosProfile = "no-such-profile";
+  EXPECT_DEATH(runLoad(O), "unknown chaos profile");
 }
 
 //===----------------------------------------------------------------------===//

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 using namespace promises;
@@ -34,8 +35,8 @@ struct Options {
   double DurationScale = 1.0;
   sim::BackendKind Backend = sim::SimConfig::defaultBackend();
   bool Storage = false;
-  double TornRate = -1; ///< Negative: keep the scenario's rate.
-  double LostRate = -1;
+  std::optional<double> TornRate; ///< Unset: keep the scenario's rate.
+  std::optional<double> LostRate;
   bool List = false;
   bool ReplayCheck = true; ///< Run each seed twice, compare traces.
   bool Quiet = false;
@@ -148,10 +149,12 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
                  "error: --rate-scale/--duration-scale must be > 0\n");
     return false;
   }
-  if (O.TornRate > 1 || O.LostRate > 1) {
-    std::fprintf(stderr, "error: --torn-rate/--lost-rate must be in [0,1]\n");
-    return false;
-  }
+  for (const std::optional<double> &Rate : {O.TornRate, O.LostRate})
+    if (Rate && !(*Rate >= 0 && *Rate <= 1)) {
+      std::fprintf(stderr,
+                   "error: --torn-rate/--lost-rate must be in [0,1]\n");
+      return false;
+    }
   return true;
 }
 
@@ -188,8 +191,8 @@ int main(int Argc, char **Argv) {
     LO.DurationScale = O.DurationScale;
     LO.Backend = O.Backend;
     LO.ForceStorage = O.Storage;
-    LO.TornRate = O.TornRate < 0 ? -1 : O.TornRate;
-    LO.LostRate = O.LostRate < 0 ? -1 : O.LostRate;
+    LO.TornRate = O.TornRate.value_or(-1);
+    LO.LostRate = O.LostRate.value_or(-1);
 
     LoadReport R = runLoad(LO);
     bool Bad = !R.ok();
