@@ -23,6 +23,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 using namespace promises;
 using namespace promises::core;
 using namespace promises::runtime;
@@ -31,14 +33,19 @@ namespace {
 
 constexpr sim::Time Service = sim::usec(200);
 
-struct CascadeWorld {
+int32_t nextValue(int32_t V) { return V + 1; }
+std::string nextValue(std::string V) { return V; }
+
+/// A client plus \p Levels stage guardians, each serving one `T(T)`
+/// handler that takes Service of virtual time.
+template <typename T> struct CascadeWorldOf {
   sim::Simulation S;
   std::unique_ptr<net::SimNetwork> Net;
   std::unique_ptr<Guardian> Client;
   std::vector<std::unique_ptr<Guardian>> StageG;
-  std::vector<HandlerRef<int32_t(int32_t)>> Stage;
+  std::vector<HandlerRef<T(T)>> Stage;
 
-  explicit CascadeWorld(int Levels, GuardianConfig GC = GuardianConfig()) {
+  explicit CascadeWorldOf(int Levels, GuardianConfig GC = GuardianConfig()) {
     Net = std::make_unique<net::SimNetwork>(S, net::NetConfig{});
     Client = std::make_unique<Guardian>(*Net, Net->addNode("client"),
                                         "client", GC);
@@ -46,15 +53,17 @@ struct CascadeWorld {
       auto G = std::make_unique<Guardian>(
           *Net, Net->addNode(strprintf("stage%d", L)),
           strprintf("stage%d", L), GC);
-      Stage.push_back(G->addHandler<int32_t(int32_t)>(
-          "work", [this](int32_t V) -> Outcome<int32_t> {
+      Stage.push_back(G->template addHandler<T(T)>(
+          "work", [this](T V) -> Outcome<T> {
             S.sleep(Service);
-            return V + 1;
+            return nextValue(std::move(V));
           }));
       StageG.push_back(std::move(G));
     }
   }
 };
+
+using CascadeWorld = CascadeWorldOf<int32_t>;
 
 void BM_Sequential(benchmark::State &State) {
   const int N = static_cast<int>(State.range(0));
@@ -131,25 +140,27 @@ void BM_Composed(benchmark::State &State) {
 // Wire-integrity ablation on the same hot path: every datagram the cascade
 // sends is sealed in a checksummed frame and verified on receipt
 // (wire/Frame.h). Arg(1) toggles StreamConfig::FrameChecksums; comparing
-// the two rows isolates the CRC32C cost. Virtual time ("vms") is identical
-// by construction — the checksum is pure CPU — so the interesting number
-// is real time per iteration. Measured overhead is well under 5% (see
+// the two rows isolates the CRC32C cost. Arg(2) is the argument size: 0
+// sends int32 arguments, where per-message costs dominate; 1024 and 4096
+// send byte strings of that many bytes, where the per-byte checksum cost
+// shows. Virtual time ("vms") is identical by construction — the checksum
+// is pure CPU — so the interesting number is real time per iteration (see
 // docs/PROTOCOL.md "Checksum cost").
-void BM_ChecksumOverhead(benchmark::State &State) {
-  const int N = static_cast<int>(State.range(0));
-  const bool Checksums = State.range(1) != 0;
+template <typename T, typename MakeArgFn>
+void runChecksumCascade(benchmark::State &State, int N, bool Checksums,
+                        MakeArgFn MakeArg) {
   const int Levels = 2;
   for (auto _ : State) {
     GuardianConfig GC;
     GC.Stream.FrameChecksums = Checksums;
-    CascadeWorld W(Levels, GC);
+    CascadeWorldOf<T> W(Levels, GC);
     W.Client->spawnProcess("main", [&] {
       auto A = W.Client->newAgent();
       for (int L = 0; L < Levels; ++L) {
         auto H = bindHandler(*W.Client, A, W.Stage[static_cast<size_t>(L)]);
-        std::vector<Promise<int32_t>> Ps;
+        std::vector<Promise<T>> Ps;
         for (int32_t I = 0; I < N; ++I)
-          Ps.push_back(H.streamCall(I));
+          Ps.push_back(H.streamCall(MakeArg(I)));
         H.flush();
         for (auto &P : Ps)
           P.claim();
@@ -158,7 +169,23 @@ void BM_ChecksumOverhead(benchmark::State &State) {
     W.S.run();
     State.counters["vms"] = sim::toMillis(W.S.now());
   }
-  State.SetLabel(Checksums ? "checksums on" : "checksums off");
+}
+
+void BM_ChecksumOverhead(benchmark::State &State) {
+  const int N = static_cast<int>(State.range(0));
+  const bool Checksums = State.range(1) != 0;
+  const size_t ArgBytes = static_cast<size_t>(State.range(2));
+  if (ArgBytes == 0)
+    runChecksumCascade<int32_t>(State, N, Checksums,
+                                [](int32_t I) { return I; });
+  else
+    runChecksumCascade<std::string>(State, N, Checksums, [&](int32_t I) {
+      return std::string(ArgBytes, static_cast<char>('a' + I % 26));
+    });
+  State.SetLabel(strprintf("checksums %s, %s args",
+                           Checksums ? "on" : "off",
+                           ArgBytes ? strprintf("%zu B", ArgBytes).c_str()
+                                    : "int32"));
 }
 
 } // namespace
@@ -173,7 +200,7 @@ BENCHMARK(BM_Composed)
     ->ArgsProduct({{32, 128, 512}, {2, 3, 4}, {0, 32}})
     ->Iterations(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ChecksumOverhead)
-    ->ArgsProduct({{512, 2048}, {0, 1}})
+    ->ArgsProduct({{512, 2048}, {0, 1}, {0, 1024, 4096}})
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -150,8 +150,10 @@ wire::Bytes encodeMessage(const Message &M);
 /// garbage is never transmitted.
 wire::Bytes encodeFramedMessage(const Message &M, bool Checksum);
 
-/// Decodes a stream message; std::nullopt on malformed input.
-std::optional<Message> decodeMessage(const wire::Bytes &B);
+/// Decodes a stream message; std::nullopt on malformed input. Takes a
+/// view, so the transport decodes straight out of a received datagram;
+/// a wire::Bytes converts to one implicitly.
+std::optional<Message> decodeMessage(wire::ByteView B);
 
 } // namespace promises::stream
 

@@ -22,6 +22,7 @@
 
 #include "promises/wire/Encoder.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -122,6 +123,9 @@ template <typename T> struct Codec<std::vector<T>> {
       D.fail("oversized sequence length");
       return Out;
     }
+    // Presize once. A hostile N cannot force a large allocation: the
+    // reserve is capped by the bytes actually left to decode.
+    Out.reserve(std::min<size_t>(N, D.remaining()));
     for (uint32_t I = 0; I != N && !D.failed(); ++I)
       Out.push_back(Codec<T>::decode(D));
     return Out;

@@ -19,8 +19,10 @@
 #ifndef PROMISES_WIRE_ENCODER_H
 #define PROMISES_WIRE_ENCODER_H
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,9 @@ namespace promises::wire {
 
 /// Raw encoded bytes.
 using Bytes = std::vector<uint8_t>;
+
+/// A read-only view of encoded bytes owned by someone else.
+using ByteView = std::span<const uint8_t>;
 
 /// Hard cap on any single length-prefixed byte sequence or string. A
 /// corrupt or hostile length above this is rejected before allocation,
@@ -121,9 +126,14 @@ public:
   size_t size() const { return Buf.size(); }
 
 private:
+  /// Grows the buffer at most once per scalar, the way one insert would:
+  /// letting push_back grow it a byte at a time would reallocate on each
+  /// of the first few bytes.
   template <typename T> void writeLe(T V) {
     if (Failed)
       return;
+    if (Buf.capacity() - Buf.size() < sizeof(T))
+      Buf.reserve(Buf.size() + std::max(Buf.size(), sizeof(T)));
     for (size_t I = 0; I != sizeof(T); ++I)
       Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
   }
@@ -138,7 +148,7 @@ private:
 class Decoder {
 public:
   Decoder(const uint8_t *Data, size_t Len) : Data(Data), Len(Len) {}
-  explicit Decoder(const Bytes &B) : Decoder(B.data(), B.size()) {}
+  explicit Decoder(ByteView B) : Decoder(B.data(), B.size()) {}
 
   uint8_t readU8() {
     uint8_t V = 0;

@@ -34,13 +34,31 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <optional>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define PROMISES_HAVE_X86_CRC32C 1
+#else
+#define PROMISES_HAVE_X86_CRC32C 0
+#endif
 
 namespace promises::wire {
 
-/// CRC32C (Castagnoli) over \p Len bytes, table-driven, reflected
-/// polynomial 0x82F63B78. Known answer: crc32c("123456789") == 0xE3069283.
-inline uint32_t crc32c(const uint8_t *Data, size_t Len, uint32_t Seed = 0) {
+/// CRC32C (Castagnoli), reflected polynomial 0x82F63B78, over \p Len
+/// bytes continuing from \p Seed (a previous result, or 0 to start).
+/// Known answer: crc32c("123456789") == 0xE3069283.
+///
+/// Two implementations compute the same function. crc32cHardware() uses
+/// the SSE4.2 `crc32` instruction, eight bytes per step; crc32cPortable()
+/// is the byte-at-a-time table loop, kept as the fallback for CPUs (and
+/// non-x86 targets) without the instruction. crc32c() picks one once per
+/// process from CPUID. Stream frames and StableStore WAL records both
+/// checksum through crc32c(), so the bytes on the wire and on media do
+/// not depend on which path ran.
+inline uint32_t crc32cPortable(const uint8_t *Data, size_t Len,
+                               uint32_t Seed = 0) {
   static const std::array<uint32_t, 256> Table = [] {
     std::array<uint32_t, 256> T{};
     for (uint32_t I = 0; I != 256; ++I) {
@@ -55,6 +73,45 @@ inline uint32_t crc32c(const uint8_t *Data, size_t Len, uint32_t Seed = 0) {
   for (size_t I = 0; I != Len; ++I)
     Crc = Table[(Crc ^ Data[I]) & 0xFF] ^ (Crc >> 8);
   return ~Crc;
+}
+
+#if PROMISES_HAVE_X86_CRC32C
+/// True when the running CPU implements the SSE4.2 `crc32` instruction.
+inline bool crc32cHardwareAvailable() {
+  __builtin_cpu_init(); // In case this runs before libgcc's constructor.
+  return __builtin_cpu_supports("sse4.2");
+}
+
+/// The SSE4.2 path; call only when crc32cHardwareAvailable(). The
+/// instruction consumes little-endian words, which on x86 is the byte
+/// order the reflected table loop walks, so both paths agree bit for bit.
+__attribute__((target("sse4.2"))) inline uint32_t
+crc32cHardware(const uint8_t *Data, size_t Len, uint32_t Seed = 0) {
+  uint64_t Crc = ~Seed;
+  for (; Len >= 8; Data += 8, Len -= 8) {
+    uint64_t Word;
+    std::memcpy(&Word, Data, 8);
+    Crc = _mm_crc32_u64(Crc, Word);
+  }
+  uint32_t Crc32 = static_cast<uint32_t>(Crc);
+  for (; Len != 0; ++Data, --Len)
+    Crc32 = _mm_crc32_u8(Crc32, *Data);
+  return ~Crc32;
+}
+#else
+inline bool crc32cHardwareAvailable() { return false; }
+
+/// No crc32 instruction on this target: the portable loop stands in.
+inline uint32_t crc32cHardware(const uint8_t *Data, size_t Len,
+                               uint32_t Seed = 0) {
+  return crc32cPortable(Data, Len, Seed);
+}
+#endif
+
+inline uint32_t crc32c(const uint8_t *Data, size_t Len, uint32_t Seed = 0) {
+  static const bool Hardware = crc32cHardwareAvailable();
+  return Hardware ? crc32cHardware(Data, Len, Seed)
+                  : crc32cPortable(Data, Len, Seed);
 }
 
 inline uint32_t crc32c(const Bytes &B, uint32_t Seed = 0) {
@@ -180,10 +237,11 @@ inline Bytes finishFrame(Encoder &E, bool Checksum = true) {
   return E.take();
 }
 
-/// Validates \p Frame and returns its payload, or std::nullopt with \p Err
-/// (if non-null) set to the rejection cause. Never reads past the buffer
-/// and never allocates before the length has been validated against both
-/// the actual frame size and MaxFramePayloadBytes.
+/// Validates \p Frame and returns a view of its payload inside \p Frame,
+/// or std::nullopt with \p Err (if non-null) set to the rejection cause.
+/// Never reads past the buffer and never allocates; the view is valid
+/// while \p Frame is. This is the receive path's only validation routine
+/// (docs/PROTOCOL.md, "The zero-copy receive path").
 ///
 /// By default the buffer must be exactly one frame — any size mismatch is
 /// BadLength. Passing \p TrailingBytes switches to the tolerant mode real
@@ -193,20 +251,20 @@ inline Bytes finishFrame(Encoder &E, bool Checksum = true) {
 /// (never handed to the decoder, never checksummed), and their count is
 /// reported through the out-param for the caller to account (the
 /// net.frames_trailing_bytes counter). A buffer shorter than declared is
-/// still BadLength in both modes.
-inline std::optional<Bytes> openFrame(const Bytes &Frame,
-                                      bool VerifyChecksum = true,
-                                      FrameError *Err = nullptr,
-                                      size_t *TrailingBytes = nullptr) {
-  auto Reject = [&](FrameError E) -> std::optional<Bytes> {
+/// still BadLength in both modes. On every reject path the out-param is
+/// zero: bytes trailing a frame that is dropped are not counted.
+inline std::optional<ByteView>
+openFrameInPlace(ByteView Frame, bool VerifyChecksum = true,
+                 FrameError *Err = nullptr, size_t *TrailingBytes = nullptr) {
+  auto Reject = [&](FrameError E) -> std::optional<ByteView> {
     if (Err)
       *Err = E;
+    if (TrailingBytes)
+      *TrailingBytes = 0;
     return std::nullopt;
   };
   if (Err)
     *Err = FrameError::None;
-  if (TrailingBytes)
-    *TrailingBytes = 0;
   if (Frame.size() < FrameHeaderBytes)
     return Reject(FrameError::Truncated);
   if (Frame[0] != FrameMagic)
@@ -223,15 +281,27 @@ inline std::optional<Bytes> openFrame(const Bytes &Frame,
   if (TrailingBytes) {
     if (Frame.size() < FrameHeaderBytes + Len)
       return Reject(FrameError::BadLength);
-    *TrailingBytes = Frame.size() - (FrameHeaderBytes + Len);
   } else if (Frame.size() != FrameHeaderBytes + Len) {
     return Reject(FrameError::BadLength);
   }
-  if (VerifyChecksum &&
-      crc32c(Frame.data() + FrameHeaderBytes, Len) != Crc)
+  ByteView Payload = Frame.subspan(FrameHeaderBytes, Len);
+  if (VerifyChecksum && crc32c(Payload.data(), Payload.size()) != Crc)
     return Reject(FrameError::BadChecksum);
-  return Bytes(Frame.begin() + FrameHeaderBytes,
-               Frame.begin() + FrameHeaderBytes + Len);
+  if (TrailingBytes)
+    *TrailingBytes = Frame.size() - (FrameHeaderBytes + Len);
+  return Payload;
+}
+
+/// openFrameInPlace() that returns an owned copy of the payload.
+inline std::optional<Bytes> openFrame(const Bytes &Frame,
+                                      bool VerifyChecksum = true,
+                                      FrameError *Err = nullptr,
+                                      size_t *TrailingBytes = nullptr) {
+  std::optional<ByteView> Payload =
+      openFrameInPlace(Frame, VerifyChecksum, Err, TrailingBytes);
+  if (!Payload)
+    return std::nullopt;
+  return Bytes(Payload->begin(), Payload->end());
 }
 
 } // namespace promises::wire

@@ -44,6 +44,11 @@ size_t encodedSizeOf(const WireReply &R) {
   return 8 + 1 + 4 + (4 + R.Payload.size()) + (4 + R.Reason.size());
 }
 
+/// A reply batch's encoded size without its replies.
+size_t replyBatchBaseSize(const ReplyBatchMsg &RB) {
+  return 1 + 8 + 4 + 4 + 8 + 8 + 1 + 1 + (4 + RB.BreakReason.size()) + 4;
+}
+
 size_t messageSizeOf(const Message &M) {
   if (const auto *CB = std::get_if<CallBatchMsg>(&M)) {
     size_t N = 1 + 8 + 4 + 4 + 8 + 1 + 4;
@@ -52,8 +57,7 @@ size_t messageSizeOf(const Message &M) {
     return N;
   }
   if (const auto *RB = std::get_if<ReplyBatchMsg>(&M)) {
-    size_t N =
-        1 + 8 + 4 + 4 + 8 + 8 + 1 + 1 + (4 + RB->BreakReason.size()) + 4;
+    size_t N = replyBatchBaseSize(*RB);
     for (const WireReply &R : RB->Replies)
       N += encodedSizeOf(R);
     return N;
@@ -95,7 +99,7 @@ wire::Bytes promises::stream::encodeFramedMessage(const Message &M,
 }
 
 std::optional<Message>
-promises::stream::decodeMessage(const wire::Bytes &B) {
+promises::stream::decodeMessage(wire::ByteView B) {
   wire::Decoder D(B);
   uint8_t Kind = D.readU8();
   Message M;
@@ -1483,9 +1487,46 @@ void StreamTransport::sendReplyBatch(ReceiverStream &R, bool ResendAll) {
   // batches — responses to a flush/probe, and break notices — carry the
   // full unacknowledged state so a stalled sender always catches up.
   bool All = ResendAll || Cfg.StateShapedReplies;
+  auto Ship = [&](ReplyBatchMsg &&Batch) {
+    Counters.ReplyBatchesSent->inc();
+    Counters.ReplyOccupancy->observe(
+        static_cast<double>(Batch.Replies.size()));
+    if (Reg.enabled())
+      Reg.emit({Sim.now(), EventKind::ReplyBatchTx, Node, R.Tag,
+                Batch.Replies.size(), 0, {}});
+    if (traceEnabled())
+      tracef("tx reply-batch agent=%llu inc=%u replies=%zu ack=%llu "
+             "ct=%llu%s",
+             static_cast<unsigned long long>(R.Agent), R.Inc,
+             Batch.Replies.size(),
+             static_cast<unsigned long long>(Batch.AckCallThrough),
+             static_cast<unsigned long long>(Batch.CompletedThrough),
+             Batch.Broken ? " BROKEN" : "");
+    sendMessage(R.SenderAddr, Message(std::move(Batch)));
+  };
+  // A message must fit one frame. Replies that do not fit go out in
+  // further batches. Each earlier part claims completion only below the
+  // first reply it leaves out and carries no break marker, so the sender
+  // never settles a call whose reply is still to come.
+  size_t Size = replyBatchBaseSize(M);
   R.UnackedReplies.forEach([&](Seq S, const WireReply &W) {
-    if (All || S > R.LastBatchedReply)
-      M.Replies.push_back(W);
+    if (!All && S <= R.LastBatchedReply)
+      return;
+    size_t ReplySize = encodedSizeOf(W);
+    if (!M.Replies.empty() && Size + ReplySize > wire::MaxFramePayloadBytes) {
+      ReplyBatchMsg Part;
+      Part.Agent = M.Agent;
+      Part.Group = M.Group;
+      Part.Inc = M.Inc;
+      Part.AckCallThrough = M.AckCallThrough;
+      Part.CompletedThrough = std::min(M.CompletedThrough, S - 1);
+      Part.Replies = std::move(M.Replies);
+      M.Replies.clear();
+      Ship(std::move(Part));
+      Size = replyBatchBaseSize(M);
+    }
+    M.Replies.push_back(W);
+    Size += ReplySize;
   });
   if (!R.UnackedReplies.empty())
     R.LastBatchedReply = std::max(R.LastBatchedReply,
@@ -1501,19 +1542,7 @@ void StreamTransport::sendReplyBatch(ReceiverStream &R, bool ResendAll) {
     Sim.cancel(R.AckTimer);
     R.AckTimerArmed = false;
   }
-  Counters.ReplyBatchesSent->inc();
-  Counters.ReplyOccupancy->observe(static_cast<double>(M.Replies.size()));
-  if (Reg.enabled())
-    Reg.emit({Sim.now(), EventKind::ReplyBatchTx, Node, R.Tag,
-              M.Replies.size(), 0, {}});
-  if (traceEnabled())
-    tracef("tx reply-batch agent=%llu inc=%u replies=%zu ack=%llu ct=%llu%s",
-           static_cast<unsigned long long>(R.Agent), R.Inc,
-           M.Replies.size(),
-           static_cast<unsigned long long>(M.AckCallThrough),
-           static_cast<unsigned long long>(M.CompletedThrough),
-           M.Broken ? " BROKEN" : "");
-  sendMessage(R.SenderAddr, Message(std::move(M)));
+  Ship(std::move(M));
 }
 
 void StreamTransport::armReplyFlushTimer(ReceiverStream &R) {
@@ -1594,10 +1623,11 @@ void StreamTransport::onDatagram(net::Datagram D) {
   // Tolerant of trailing bytes: real datagram stacks can pad past the
   // sender's length, so excess beyond the declared frame is dropped and
   // counted rather than rejecting the (intact) frame in front of it.
+  // The payload is decoded in place, straight out of the datagram.
   wire::FrameError FE = wire::FrameError::None;
   size_t Trailing = 0;
-  std::optional<wire::Bytes> Payload =
-      wire::openFrame(D.Payload, Cfg.FrameChecksums, &FE, &Trailing);
+  std::optional<wire::ByteView> Payload =
+      wire::openFrameInPlace(D.Payload, Cfg.FrameChecksums, &FE, &Trailing);
   if (Trailing != 0)
     Counters.FramesTrailingBytes->inc(Trailing);
   if (!Payload) {

@@ -9,6 +9,9 @@
 //  * Zero-copy frame sealing: encodeFramedMessage is byte-identical to
 //    the legacy encode-then-seal pipeline, costs exactly one allocation,
 //    and copies zero payload bytes.
+//  * Zero-copy receive: opening a frame in place and decoding from the
+//    view allocates no more than decoding the bare payload; scalar and
+//    sequence encodes/decodes do not grow buffers piecemeal.
 //  * Promise slab: steady-state promise churn allocates nothing.
 //  * The timed-event heap: generation-checked cancellation semantics.
 //  * End-to-end allocation budget: a full call round trip stays under an
@@ -263,6 +266,63 @@ TEST(ZeroCopySeal, CopiesZeroPayloadBytes) {
 }
 
 //===----------------------------------------------------------------------===//
+// Zero-copy receive and encoder allocations
+//===----------------------------------------------------------------------===//
+
+TEST(ZeroCopyOpen, InPlaceOpenAllocatesOnlyWhatDecodingAllocates) {
+  // Opening a frame in place and decoding from the view must cost exactly
+  // the decode's own allocations: no copy of the payload is made.
+  stream::Message M = sampleCallBatch();
+  wire::Bytes Payload = stream::encodeMessage(M);
+  wire::Bytes Frame = stream::encodeFramedMessage(M, true);
+
+  uint64_t Before = allocCount();
+  std::optional<stream::Message> Bare = stream::decodeMessage(Payload);
+  uint64_t BareAllocs = allocCount() - Before;
+
+  Before = allocCount();
+  std::optional<wire::ByteView> View = wire::openFrameInPlace(Frame);
+  ASSERT_TRUE(View.has_value());
+  std::optional<stream::Message> Framed = stream::decodeMessage(*View);
+  uint64_t FramedAllocs = allocCount() - Before;
+
+  ASSERT_TRUE(Bare.has_value());
+  ASSERT_TRUE(Framed.has_value());
+  EXPECT_TRUE(*Framed == M);
+  EXPECT_GT(BareAllocs, 0u);
+  EXPECT_EQ(FramedAllocs, BareAllocs);
+}
+
+TEST(EncoderWrites, OneKiBStringEncodesInAtMostTwoAllocations) {
+  // The length prefix goes in with one insert, so the buffer grows once
+  // for the prefix and once for the bytes, never byte by byte.
+  std::string S(1024, 'x');
+  uint64_t Before = allocCount();
+  std::optional<wire::Bytes> B = wire::encodeToBytes(S);
+  uint64_t Allocs = allocCount() - Before;
+  ASSERT_TRUE(B.has_value());
+  EXPECT_EQ(B->size(), 4u + 1024u);
+  EXPECT_LE(Allocs, 2u);
+}
+
+TEST(EncoderWrites, SequenceDecodeAllocatesTheVectorOnce) {
+  // Codec<std::vector<T>> reserves from the length prefix (capped by the
+  // bytes present), so a scalar sequence decodes in one allocation.
+  std::vector<uint32_t> V(1000);
+  for (uint32_t I = 0; I != V.size(); ++I)
+    V[I] = I * 7;
+  std::optional<wire::Bytes> B = wire::encodeToBytes(V);
+  ASSERT_TRUE(B.has_value());
+  uint64_t Before = allocCount();
+  std::optional<std::vector<uint32_t>> Out =
+      wire::decodeFromBytes<std::vector<uint32_t>>(*B);
+  uint64_t Allocs = allocCount() - Before;
+  ASSERT_TRUE(Out.has_value());
+  EXPECT_EQ(*Out, V);
+  EXPECT_EQ(Allocs, 1u);
+}
+
+//===----------------------------------------------------------------------===//
 // Promise slab
 //===----------------------------------------------------------------------===//
 
@@ -411,7 +471,7 @@ struct EchoWorld {
 TEST(HotPathBudget, RpcRoundTripStaysUnderAllocationCeiling) {
   // Machine-independent twin of bench_hotpath's allocs/call metric. The
   // PR 7 baseline measured 96.4 allocs per RPC; the acceptance bar is a
-  // 2x reduction (<= 48.2). The measured value after the rework is ~31;
+  // 2x reduction (<= 48.2). The measured value is now 27 per call;
   // the ceiling leaves headroom for stdlib variation while still failing
   // if the old per-call node allocations creep back.
   EchoWorld W;

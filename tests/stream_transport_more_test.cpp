@@ -288,6 +288,29 @@ TEST_F(Fixture, RetransmitBatchesRespectConfiguredLimits) {
   EXPECT_LE(H.max(), 4.0);
 }
 
+TEST_F(Fixture, ReplyStateLargerThanOneFrameIsSplit) {
+  // Regression: a reply batch carried every unacknowledged reply in one
+  // message, so enough large unconsumed results (here 320 x 4 KiB, past
+  // the 1 MiB frame limit) aborted the process when it was sealed. The
+  // replies must go out over several datagrams and all be consumed.
+  build();
+  AgentId A = Client->newAgent();
+  constexpr uint32_t N = 320;
+  std::vector<ReplyOutcome> Out;
+  for (uint32_t I = 0; I != N; ++I)
+    Client->issueCall(A, Server->address(), 1, 1,
+                      wire::Bytes(4096, static_cast<uint8_t>(I)), false,
+                      false, [&](const ReplyOutcome &O) { Out.push_back(O); });
+  Client->flush(A, Server->address(), 1);
+  S.run();
+  ASSERT_EQ(Out.size(), N);
+  for (uint32_t I = 0; I != N; ++I) {
+    EXPECT_EQ(Out[I].K, ReplyOutcome::Kind::Normal);
+    EXPECT_EQ(Out[I].Payload, wire::Bytes(4096, static_cast<uint8_t>(I)));
+  }
+  EXPECT_FALSE(Client->isBroken(A, Server->address(), 1));
+}
+
 TEST_F(Fixture, FullyBrokenStreamsRetireAndResurrectOnReuse) {
   // Regression: broken sender streams used to stay in the sender map (and
   // could leave timers armed) forever. Now they are reduced to tombstones

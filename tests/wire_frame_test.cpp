@@ -42,6 +42,56 @@ TEST(Crc32c, SeedChains) {
   EXPECT_EQ(crc32c(B.data() + 4, 4, Half), Whole);
 }
 
+// RFC 3720 appendix B.4 test vectors, checked against \p Crc.
+void expectRfc3720Vectors(uint32_t (*Crc)(const uint8_t *, size_t,
+                                          uint32_t)) {
+  Bytes Zeros(32, 0x00), Ones(32, 0xFF), Up(32), Down(32);
+  for (uint8_t I = 0; I != 32; ++I) {
+    Up[I] = I;
+    Down[I] = static_cast<uint8_t>(31 - I);
+  }
+  EXPECT_EQ(Crc(Zeros.data(), Zeros.size(), 0), 0x8A9136AAu);
+  EXPECT_EQ(Crc(Ones.data(), Ones.size(), 0), 0x62A8AB43u);
+  EXPECT_EQ(Crc(Up.data(), Up.size(), 0), 0x46DD794Eu);
+  EXPECT_EQ(Crc(Down.data(), Down.size(), 0), 0x113FDB5Cu);
+}
+
+TEST(Crc32c, PortableMatchesRfc3720Vectors) {
+  expectRfc3720Vectors(crc32cPortable);
+}
+
+TEST(Crc32c, HardwareMatchesRfc3720Vectors) {
+  if (!crc32cHardwareAvailable())
+    GTEST_SKIP() << "CPU lacks the SSE4.2 crc32 instruction";
+  expectRfc3720Vectors(crc32cHardware);
+}
+
+TEST(Crc32c, HardwareEqualsPortableAtEveryLengthAndOffset) {
+  if (!crc32cHardwareAvailable())
+    GTEST_SKIP() << "CPU lacks the SSE4.2 crc32 instruction";
+  // Every length 0..4200 (partial words, whole words, many words) at every
+  // start offset 0..7 (every alignment). Each result seeds the next call,
+  // so chained, nonzero seeds are covered too.
+  constexpr size_t MaxLen = 4200;
+  Bytes Buf(MaxLen + 8);
+  uint32_t X = 0x9E3779B9u;
+  for (uint8_t &B : Buf) {
+    X = X * 1664525u + 1013904223u;
+    B = static_cast<uint8_t>(X >> 24);
+  }
+  uint32_t Seed = 0;
+  size_t Mismatches = 0;
+  for (size_t Off = 0; Off != 8; ++Off)
+    for (size_t Len = 0; Len <= MaxLen; ++Len) {
+      uint32_t Portable = crc32cPortable(Buf.data() + Off, Len, Seed);
+      if (crc32cHardware(Buf.data() + Off, Len, Seed) != Portable &&
+          Mismatches++ < 5)
+        ADD_FAILURE() << "offset " << Off << " length " << Len;
+      Seed = Portable;
+    }
+  EXPECT_EQ(Mismatches, 0u);
+}
+
 TEST(Frame, SealOpenRoundTrips) {
   for (size_t N : {size_t(0), size_t(1), size_t(17), size_t(4096)}) {
     Bytes Payload(N);
@@ -212,6 +262,38 @@ TEST(Frame, TrailingBytesToleratedAndCounted) {
   EXPECT_FALSE(openFrame(Short, true, &Err, &Trailing).has_value());
   EXPECT_EQ(Err, FrameError::BadLength);
   EXPECT_EQ(Trailing, 0u);
+}
+
+TEST(Frame, RejectedPaddedFrameReportsNoTrailingBytes) {
+  // A padded frame whose payload fails the checksum is dropped whole; its
+  // trailing bytes must not be reported, or the transport would count
+  // them in net.frames_trailing_bytes for a frame it never accepted.
+  Bytes Padded = sealFrame(bytes({0x10, 0x20, 0x30}));
+  Padded.push_back(0xEE);
+  Padded.push_back(0xFF);
+  Padded[FrameHeaderBytes] ^= 0x01;
+  size_t Trailing = 99;
+  FrameError Err = FrameError::None;
+  EXPECT_FALSE(openFrame(Padded, true, &Err, &Trailing).has_value());
+  EXPECT_EQ(Err, FrameError::BadChecksum);
+  EXPECT_EQ(Trailing, 0u);
+
+  Trailing = 99;
+  EXPECT_FALSE(openFrameInPlace(Padded, true, &Err, &Trailing).has_value());
+  EXPECT_EQ(Err, FrameError::BadChecksum);
+  EXPECT_EQ(Trailing, 0u);
+}
+
+TEST(Frame, InPlaceOpenViewsThePayloadInsideTheFrame) {
+  Bytes Payload = bytes({0x01, 0x02, 0x03, 0x04});
+  Bytes Padded = sealFrame(Payload);
+  Padded.push_back(0xEE);
+  size_t Trailing = 0;
+  auto View = openFrameInPlace(Padded, true, nullptr, &Trailing);
+  ASSERT_TRUE(View.has_value());
+  EXPECT_EQ(View->data(), Padded.data() + FrameHeaderBytes);
+  EXPECT_EQ(Bytes(View->begin(), View->end()), Payload);
+  EXPECT_EQ(Trailing, 1u);
 }
 
 TEST(Frame, ErrorNamesAreDistinct) {

@@ -177,6 +177,33 @@ TEST_F(IntegrityFixture, GarbageDatagramsAreRejectedWithCause) {
   EXPECT_EQ(eventCount(EventKind::FrameCorruptDropped, "bad magic"), 1u);
 }
 
+TEST_F(IntegrityFixture, CorruptPaddedFrameCountsNoTrailingBytes) {
+  build();
+  // A padded frame with a damaged payload is dropped as corrupt; the
+  // padding behind it belongs to a rejected frame and must not reach
+  // net.frames_trailing_bytes.
+  S.schedule(usec(1), [&] {
+    wire::Bytes F = wire::sealFrame(bytesOf(9));
+    F.insert(F.end(), {0x00, 0x00});
+    F[wire::FrameHeaderBytes] ^= 0x01;
+    Net->send(Client->address(), Server->address(), F);
+  });
+  S.run();
+  EXPECT_EQ(Server->counters().FramesCorruptDropped, 1u);
+  EXPECT_EQ(Server->counters().FramesTrailingBytes, 0u);
+
+  // The same padding behind an intact frame is counted (the payload is
+  // not a stream message, so it is then dropped as malformed).
+  S.schedule(usec(1), [&] {
+    wire::Bytes F = wire::sealFrame(bytesOf(9));
+    F.insert(F.end(), {0x00, 0x00});
+    Net->send(Client->address(), Server->address(), F);
+  });
+  S.run();
+  EXPECT_EQ(Server->counters().FramesTrailingBytes, 2u);
+  EXPECT_EQ(Server->counters().MalformedDropped, 1u);
+}
+
 TEST_F(IntegrityFixture, MalformedButChecksummedPayloadIsCountedAsLocalBug) {
   build();
   S.metrics().setEnabled(true);
