@@ -35,8 +35,8 @@ struct KvStoreConfig {
   /// When set, puts are redo-logged to this stable store and
   /// acknowledged only after a force; install replays snapshot + log
   /// before serving, and the log compacts into a snapshot every
-  /// SnapshotEvery records (docs/DURABILITY.md). Null keeps the store
-  /// fully volatile with today's exact behavior.
+  /// SnapshotEvery records (docs/DURABILITY.md). Null means volatile:
+  /// no replay, and puts apply in memory only.
   storage::StableStore *Wal = nullptr;
   size_t SnapshotEvery = 64;
 };

@@ -10,25 +10,31 @@
 /// guardians can install, and a client-side two-phase-commit coordinator
 /// built entirely on the public promise/stream API.
 ///
-/// Protocol (classic presumed-abort 2PC):
-///   begin on each participant -> stage puts -> phase 1: prepare votes ->
-///   all yes: phase 2 commit everywhere; any no/unreachable: abort
-///   everywhere.
+/// Protocol (classic presumed-abort 2PC), one port set for every
+/// participant:
+///   begin on each participant -> stage puts -> phase 1:
+///   prepare(txn, gtid) votes -> all yes: phase 2 commit(txn, gtid)
+///   everywhere; any no/unreachable: abort(txn, gtid) everywhere.
 ///
-/// Two participant modes share the handlers below:
+/// The gtid names the transaction globally, which makes commit and
+/// abort idempotent across participant recoveries and resolver races.
+/// Durability is a property of the stable store, not of the protocol:
 ///
-/// *Volatile* (no stable store): a participant lost after voting yes
-/// leaves the coordinator InDoubt — the blocking window every
-/// memory-only 2PC has; tests exercise it deliberately.
+/// *Durable* (TxnKvConfig::Wal set, coordinator built with a kit): the
+/// kit mints the gtid, participants force-log prepared state before
+/// voting yes, the kit force-logs the commit decision before phase 2,
+/// and nothing else is ever logged (presumed abort). A prepared
+/// transaction whose decision never arrives — lost phase 2, coordinator
+/// crash, participant restart — resolves itself by querying the
+/// coordinator's status port: committed means redo, anything unknown
+/// and no longer in flight means abort. No lock outlives recovery
+/// unresolved. See docs/DURABILITY.md.
 ///
-/// *Durable* (TxnKvConfig::Wal set): participants force-log prepared
-/// state before voting yes, the coordinator kit force-logs the commit
-/// decision before phase 2, and nothing else is ever logged (presumed
-/// abort). A prepared transaction whose decision never arrives — lost
-/// phase 2, coordinator crash, participant restart — resolves itself by
-/// querying the coordinator's status port: committed means redo,
-/// anything unknown and no longer in flight means abort. No lock
-/// outlives recovery unresolved. See docs/DURABILITY.md.
+/// *Volatile* (no Wal, no kit): the same handlers with gtid 0; log
+/// appends and forces do nothing, there is no replay and no resolver.
+/// A participant lost after voting yes leaves the coordinator InDoubt —
+/// the blocking window every memory-only 2PC has; tests exercise it
+/// deliberately.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,8 +70,8 @@ struct TxnKvConfig {
   /// When set, the participant is durable: prepares force-log staged
   /// state before the yes vote, commit/abort decisions are redo-logged,
   /// and install replays the log (resurrecting in-doubt transactions
-  /// and their locks) before serving. Null keeps today's volatile
-  /// participant byte-identically.
+  /// and their locks) before serving. Null means volatile: nothing is
+  /// logged or replayed and no resolver runs.
   storage::StableStore *Wal = nullptr;
   /// Compact the log into a snapshot every this many records (0 = never).
   size_t SnapshotEvery = 128;
@@ -90,24 +96,21 @@ struct TxnKv {
       Put; ///< Stages a write; takes the key's lock.
   runtime::HandlerRef<std::string(uint32_t, std::string), NoSuchTxn>
       Get; ///< Reads through the transaction's own staged state.
-  runtime::HandlerRef<bool(uint32_t), NoSuchTxn> Prepare; ///< The vote.
-  runtime::HandlerRef<wire::Unit(uint32_t), NoSuchTxn> Commit;
-  runtime::HandlerRef<wire::Unit(uint32_t), NoSuchTxn> Abort;
+  /// The vote. A durable participant votes no on gtid 0.
+  runtime::HandlerRef<bool(uint32_t, uint64_t), NoSuchTxn> Prepare;
+  /// Idempotent for a gtid already applied (the resolver got there).
+  runtime::HandlerRef<wire::Unit(uint32_t, uint64_t), NoSuchTxn> Commit;
+  /// Idempotent for a finished txn (presumed abort).
+  runtime::HandlerRef<wire::Unit(uint32_t, uint64_t), NoSuchTxn> Abort;
 
-  /// Durable-protocol ports, installed only when Config.Wal is set (so
-  /// volatile port numbering never shifts). The gtid names the
-  /// transaction globally, making commit/abort idempotent across
-  /// participant recoveries and resolver races.
-  runtime::HandlerRef<bool(uint32_t, uint64_t), NoSuchTxn> PrepareG;
-  runtime::HandlerRef<wire::Unit(uint32_t, uint64_t), NoSuchTxn> CommitG;
-  runtime::HandlerRef<wire::Unit(uint32_t, uint64_t), NoSuchTxn> AbortG;
+  bool Durable = false; ///< Installed with a Wal.
 
   struct State {
     std::map<std::string, std::string> Data;
     struct Txn {
       std::map<std::string, std::string> Staged;
       bool Prepared = false;
-      uint64_t Gtid = 0; ///< Global id once durably prepared; else 0.
+      uint64_t Gtid = 0; ///< What its prepare carried (0 when volatile).
     };
     std::map<uint32_t, Txn> Txns;
     std::map<std::string, uint32_t> Locks; ///< Key -> owning txn.
@@ -200,10 +203,11 @@ enum class TwoPhaseResult {
 ///   Txn.put(1, "y", "2");
 ///   TwoPhaseResult R = Txn.commit();
 /// \endcode
-/// With a kit, the coordinator runs the durable protocol: PrepareG
-/// carries the gtid, the decision is force-logged before phase 2, and
-/// aborts log nothing (presumed). Without one it is today's volatile
-/// coordinator, unchanged.
+/// The kit decides what durability adds: with one, the coordinator
+/// mints the gtid its prepare/commit/abort calls carry, force-logs the
+/// decision before phase 2, and retires the gtid from the in-flight set
+/// when done (aborts log nothing: presumed). Without one the calls
+/// carry gtid 0 and nothing is logged.
 class TwoPhaseCoordinator {
 public:
   explicit TwoPhaseCoordinator(runtime::Guardian &Local,
@@ -225,7 +229,7 @@ public:
   void abort();
 
   bool doomed() const { return Doomed; }
-  /// Global transaction id (0 when running volatile).
+  /// Global transaction id (0 without a kit).
   uint64_t gtid() const { return Gtid; }
 
 private:

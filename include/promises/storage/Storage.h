@@ -105,6 +105,21 @@ public:
   /// snapshot and log untouched.
   void saveSnapshot(const std::function<wire::Bytes()> &Make);
 
+  /// The redo-log write every durable server uses: append \p Record,
+  /// then force it — by saveSnapshot(\p Make) once the log holds
+  /// \p SnapshotEvery records (0 = never compact), by sync() otherwise.
+  /// A template so that \p Make becomes a std::function only when a
+  /// snapshot is taken, not on every write.
+  template <typename MakeFn>
+  void appendForced(const wire::Bytes &Record, size_t SnapshotEvery,
+                    const MakeFn &Make) {
+    append(Record);
+    if (SnapshotEvery != 0 && recordsInLog() >= SnapshotEvery)
+      saveSnapshot(Make);
+    else
+      sync();
+  }
+
   /// Applies the media-fault model for a node crash. Call alongside
   /// net::Network::crash; the store itself survives into the next
   /// incarnation.

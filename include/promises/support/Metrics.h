@@ -151,8 +151,7 @@ private:
   std::array<uint64_t, NumBuckets> Buckets{};
 };
 
-/// The typed trace events emitted at transport/runtime decision points
-/// (replacing the untyped tracef stream at those sites).
+/// The typed trace events emitted at transport/runtime decision points.
 enum class EventKind : uint8_t {
   CallIssued,       ///< Sender queued a call (Id=agent, Seq=call seq).
   CallSpan,         ///< A call's issue->outcome span (DurNs = latency).

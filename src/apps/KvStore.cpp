@@ -75,23 +75,20 @@ KvStore apps::installKvStore(runtime::Guardian &G, KvStoreConfig Cfg) {
       [St, Cfg, Work](std::string Key,
                       std::string Val) -> Outcome<wire::Unit> {
         Work();
-        if (Cfg.Wal == nullptr) {
-          St->Data[std::move(Key)] = std::move(Val);
-          return wire::Unit{};
+        // Apply first, then log and force, then ack: the in-memory map
+        // is always ahead of the log, which is what makes
+        // sleep-then-serialize snapshots safe (docs/DURABILITY.md). A
+        // volatile store has no log and just applies.
+        auto It =
+            St->Data.insert_or_assign(std::move(Key), std::move(Val)).first;
+        if (Cfg.Wal != nullptr) {
+          wire::Encoder E;
+          E.writeString(It->first);
+          E.writeString(It->second);
+          Cfg.Wal->appendForced(E.take(), Cfg.SnapshotEvery, [St] {
+            return encodeKvSnapshot(St->Data);
+          });
         }
-        // Apply first, then log, then force, then ack: the in-memory
-        // map is always ahead of the log, which is what makes
-        // sleep-then-serialize snapshots safe (docs/DURABILITY.md).
-        St->Data[Key] = Val;
-        wire::Encoder E;
-        E.writeString(Key);
-        E.writeString(Val);
-        Cfg.Wal->append(E.take());
-        if (Cfg.SnapshotEvery != 0 &&
-            Cfg.Wal->recordsInLog() >= Cfg.SnapshotEvery)
-          Cfg.Wal->saveSnapshot([St] { return encodeKvSnapshot(St->Data); });
-        else
-          Cfg.Wal->sync();
         return wire::Unit{};
       });
 

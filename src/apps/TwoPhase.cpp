@@ -174,6 +174,7 @@ TxnKv::State apps::replayTxnState(const storage::StableStore::Recovery &R) {
 TxnKv apps::installTxnKv(Guardian &G, TxnKvConfig Cfg) {
   TxnKv K;
   K.Store = std::make_shared<TxnKv::State>();
+  K.Durable = Cfg.Wal != nullptr;
   auto St = K.Store;
   sim::Simulation &S = G.simulation();
   auto Work = [St, ServiceTime = Cfg.ServiceTime, &S] {
@@ -222,93 +223,41 @@ TxnKv apps::installTxnKv(Guardian &G, TxnKvConfig Cfg) {
         return DIt != St->Data.end() ? DIt->second : std::string();
       });
 
-  K.Prepare = G.addHandler<bool(uint32_t), NoSuchTxn>(
-      "t_prepare", [St, Work](uint32_t Txn) -> Outcome<bool, NoSuchTxn> {
-        Work();
-        auto TIt = St->Txns.find(Txn);
-        if (TIt == St->Txns.end())
-          return NoSuchTxn{Txn};
-        // Volatile participant: a yes vote just pins the staged state.
-        TIt->second.Prepared = true;
-        return true;
-      });
-
-  K.Commit = G.addHandler<wire::Unit(uint32_t), NoSuchTxn>(
-      "t_commit",
-      [St, Work](uint32_t Txn) -> Outcome<wire::Unit, NoSuchTxn> {
-        Work();
-        auto TIt = St->Txns.find(Txn);
-        if (TIt == St->Txns.end())
-          return NoSuchTxn{Txn};
-        applyCommit(*St, TIt);
-        return wire::Unit{};
-      });
-
-  K.Abort = G.addHandler<wire::Unit(uint32_t), NoSuchTxn>(
-      "t_abort",
-      [St, Work](uint32_t Txn) -> Outcome<wire::Unit, NoSuchTxn> {
-        Work();
-        auto TIt = St->Txns.find(Txn);
-        if (TIt == St->Txns.end())
-          return NoSuchTxn{Txn};
-        applyAbort(*St, TIt);
-        return wire::Unit{};
-      });
-
-  // Completion-side ports run under priority admission: a shed prepare,
-  // commit, or abort strands locks and staged state that calls already
-  // admitted (begin/put) created — under overload the store would leak
-  // transactions instead of degrading. The work these ports finish is
-  // bounded by admitted begins, so exempting them cannot unbound the
-  // guardian's load.
-  G.setShedExempt(K.Prepare.Port);
-  G.setShedExempt(K.Commit.Port);
-  G.setShedExempt(K.Abort.Port);
-
-  if (Cfg.Wal == nullptr)
-    return K;
-
-  //===--------------------------------------------------------------------===//
-  // Durable mode: replay before serving, then the gtid-keyed protocol
-  // ports. Ports install after the volatile six so volatile numbering
-  // never shifts.
-  //===--------------------------------------------------------------------===//
-
   storage::StableStore *Wal = Cfg.Wal;
-  {
-    storage::StableStore::Recovery R = Wal->open();
-    *St = replayTxnState(R);
-  }
+  // Replay before serving: a durable participant resumes from whatever
+  // its media kept, in-doubt transactions and their locks included.
+  if (Wal != nullptr)
+    *St = replayTxnState(Wal->open());
 
-  // One force: compact into a snapshot when the log is long enough,
-  // plain fsync otherwise.
-  auto ForceLog = [St, Wal, Every = Cfg.SnapshotEvery] {
-    if (Every != 0 && Wal->recordsInLog() >= Every)
-      Wal->saveSnapshot([St] { return encodeTxnSnapshot(*St); });
-    else
-      Wal->sync();
+  // Redo-logs one record (written by \p Write) and forces it. A volatile
+  // participant has no log, so this does nothing.
+  auto Log = [St, Wal, Every = Cfg.SnapshotEvery](auto Write) {
+    if (Wal == nullptr)
+      return;
+    wire::Encoder E;
+    Write(E);
+    Wal->appendForced(E.take(), Every,
+                      [St] { return encodeTxnSnapshot(*St); });
   };
 
-  // Redo-log a decision: memory first, then the record, then the force.
-  auto DurableCommit = [St, Wal, ForceLog](uint32_t Txn, uint64_t Gtid) {
+  // Decisions: memory first, then the record, then the force.
+  auto CommitAndLog = [St, Log](uint32_t Txn, uint64_t Gtid) {
     auto TIt = St->Txns.find(Txn);
-    PROMISES_CHECK(TIt != St->Txns.end(), "durable commit of unknown txn");
+    PROMISES_CHECK(TIt != St->Txns.end(), "commit of unknown txn");
     applyCommit(*St, TIt);
-    wire::Encoder E;
-    E.writeU8(RecCommit);
-    E.writeU64(Gtid);
-    Wal->append(E.take());
-    ForceLog();
+    Log([Gtid](wire::Encoder &E) {
+      E.writeU8(RecCommit);
+      E.writeU64(Gtid);
+    });
   };
-  auto DurableAbort = [St, Wal, ForceLog](uint32_t Txn, uint64_t Gtid) {
+  auto AbortAndLog = [St, Log](uint32_t Txn, uint64_t Gtid) {
     auto TIt = St->Txns.find(Txn);
-    PROMISES_CHECK(TIt != St->Txns.end(), "durable abort of unknown txn");
+    PROMISES_CHECK(TIt != St->Txns.end(), "abort of unknown txn");
     applyAbort(*St, TIt);
-    wire::Encoder E;
-    E.writeU8(RecAbort);
-    E.writeU64(Gtid);
-    Wal->append(E.take());
-    ForceLog();
+    Log([Gtid](wire::Encoder &E) {
+      E.writeU8(RecAbort);
+      E.writeU64(Gtid);
+    });
   };
 
   // Non-blocking termination: a prepared transaction that waits too
@@ -316,15 +265,16 @@ TxnKv apps::installTxnKv(Guardian &G, TxnKvConfig Cfg) {
   // longer in flight -> presumed abort; in flight/unreachable -> retry.
   // The resolver dies with the incarnation (guardian crash kills its
   // processes), and replay re-arms it, so no prepared lock ever
-  // outlives recovery unresolved.
-  auto ArmResolver = [&G, &S, St, Query = Cfg.QueryStatus,
-                      Retry = Cfg.ResolveRetry, DurableCommit,
-                      DurableAbort](uint32_t Txn, uint64_t Gtid,
-                                    sim::Time Delay) {
-    if (!Query)
+  // outlives recovery unresolved. A volatile participant has nothing
+  // to resolve against and arms none.
+  auto ArmResolver = [&G, &S, St, Wal, Query = Cfg.QueryStatus,
+                      Retry = Cfg.ResolveRetry, CommitAndLog,
+                      AbortAndLog](uint32_t Txn, uint64_t Gtid,
+                                   sim::Time Delay) {
+    if (Wal == nullptr || !Query)
       return; // No oracle wired: classic blocking participant.
-    G.spawnProcess("txn_resolve", [&G, &S, St, Query, Retry, DurableCommit,
-                                   DurableAbort, Txn, Gtid, Delay] {
+    G.spawnProcess("txn_resolve", [&G, &S, St, Query, Retry, CommitAndLog,
+                                   AbortAndLog, Txn, Gtid, Delay] {
       S.sleep(Delay);
       for (;;) {
         auto TIt = St->Txns.find(Txn);
@@ -339,12 +289,12 @@ TxnKv apps::installTxnKv(Guardian &G, TxnKvConfig Cfg) {
           return;
         if (Decision == TwoPhaseCoordinatorKit::StatusCommitted) {
           ++St->ResolvedCommits;
-          DurableCommit(Txn, Gtid);
+          CommitAndLog(Txn, Gtid);
           return;
         }
         if (Decision == TwoPhaseCoordinatorKit::StatusAborted) {
           ++St->ResolvedAborts;
-          DurableAbort(Txn, Gtid);
+          AbortAndLog(Txn, Gtid);
           return;
         }
         S.sleep(Retry); // In flight or unreachable: ask again.
@@ -352,30 +302,34 @@ TxnKv apps::installTxnKv(Guardian &G, TxnKvConfig Cfg) {
     });
   };
 
-  K.PrepareG = G.addHandler<bool(uint32_t, uint64_t), NoSuchTxn>(
-      "t_prepare_g",
-      [St, Work, Wal, ForceLog, ArmResolver, After = Cfg.ResolveAfter](
+  K.Prepare = G.addHandler<bool(uint32_t, uint64_t), NoSuchTxn>(
+      "t_prepare",
+      [St, Work, Wal, Log, ArmResolver, After = Cfg.ResolveAfter](
           uint32_t Txn, uint64_t Gtid) -> Outcome<bool, NoSuchTxn> {
         Work();
         auto TIt = St->Txns.find(Txn);
         if (TIt == St->Txns.end())
           return NoSuchTxn{Txn};
+        // A durable vote is keyed by its gtid in the log; without one
+        // the decision could never be matched to it, so vote no.
+        if (Wal != nullptr && Gtid == 0)
+          return false;
         TIt->second.Prepared = true;
         TIt->second.Gtid = Gtid;
-        wire::Encoder E;
-        E.writeU8(RecPrepared);
-        E.writeU32(Txn);
-        E.writeU64(Gtid);
-        writeStringMap(E, TIt->second.Staged);
-        Wal->append(E.take());
-        ForceLog(); // The prepare force: crash after this replays us.
+        // The prepare force: a crash after it replays us in doubt.
+        Log([Txn, Gtid, &T = TIt->second](wire::Encoder &E) {
+          E.writeU8(RecPrepared);
+          E.writeU32(Txn);
+          E.writeU64(Gtid);
+          writeStringMap(E, T.Staged);
+        });
         ArmResolver(Txn, Gtid, After);
         return true;
       });
 
-  K.CommitG = G.addHandler<wire::Unit(uint32_t, uint64_t), NoSuchTxn>(
-      "t_commit_g",
-      [St, Work, DurableCommit](uint32_t Txn, uint64_t Gtid)
+  K.Commit = G.addHandler<wire::Unit(uint32_t, uint64_t), NoSuchTxn>(
+      "t_commit",
+      [St, Work, CommitAndLog](uint32_t Txn, uint64_t Gtid)
           -> Outcome<wire::Unit, NoSuchTxn> {
         Work();
         auto TIt = St->Txns.find(Txn);
@@ -384,22 +338,22 @@ TxnKv apps::installTxnKv(Guardian &G, TxnKvConfig Cfg) {
             return wire::Unit{}; // Resolver beat us to it: idempotent.
           return NoSuchTxn{Txn};
         }
-        DurableCommit(Txn, Gtid);
+        CommitAndLog(Txn, Gtid);
         return wire::Unit{};
       });
 
-  K.AbortG = G.addHandler<wire::Unit(uint32_t, uint64_t), NoSuchTxn>(
-      "t_abort_g",
-      [St, Work, DurableAbort](uint32_t Txn, uint64_t Gtid)
+  K.Abort = G.addHandler<wire::Unit(uint32_t, uint64_t), NoSuchTxn>(
+      "t_abort",
+      [St, Work, AbortAndLog](uint32_t Txn, uint64_t Gtid)
           -> Outcome<wire::Unit, NoSuchTxn> {
         Work();
         auto TIt = St->Txns.find(Txn);
         if (TIt == St->Txns.end())
           return wire::Unit{}; // Already resolved (presumed abort): fine.
         if (TIt->second.Prepared && TIt->second.Gtid == Gtid) {
-          DurableAbort(Txn, Gtid);
+          AbortAndLog(Txn, Gtid);
         } else if (!TIt->second.Prepared) {
-          // Never durably prepared: nothing on disk, nothing to log.
+          // Never prepared: nothing on disk, nothing to log.
           applyAbort(*St, TIt);
         } else {
           return NoSuchTxn{Txn}; // Another incarnation's gtid.
@@ -407,9 +361,15 @@ TxnKv apps::installTxnKv(Guardian &G, TxnKvConfig Cfg) {
         return wire::Unit{};
       });
 
-  G.setShedExempt(K.PrepareG.Port);
-  G.setShedExempt(K.CommitG.Port);
-  G.setShedExempt(K.AbortG.Port);
+  // Completion-side ports run under priority admission: a shed prepare,
+  // commit, or abort strands locks and staged state that calls already
+  // admitted (begin/put) created — under overload the store would leak
+  // transactions instead of degrading. The work these ports finish is
+  // bounded by admitted begins, so exempting them cannot unbound the
+  // guardian's load.
+  G.setShedExempt(K.Prepare.Port);
+  G.setShedExempt(K.Commit.Port);
+  G.setShedExempt(K.Abort.Port);
 
   // Replay revived in-doubt transactions: resolve them promptly rather
   // than after the full ResolveAfter grace (their decision is already
@@ -513,7 +473,7 @@ TwoPhaseCoordinator::~TwoPhaseCoordinator() {
 
 size_t TwoPhaseCoordinator::enlist(const TxnKv &Participant) {
   PROMISES_CHECK(!Finished, "coordinator already finished");
-  PROMISES_CHECK(!KitSt || Participant.PrepareG.Port != 0,
+  PROMISES_CHECK(!KitSt || Participant.Durable,
                  "durable coordinator requires durable participants");
   Enlisted E;
   E.Kv = Participant;
@@ -562,17 +522,9 @@ TwoPhaseResult TwoPhaseCoordinator::commit() {
   for (Enlisted &E : Participants) {
     if (!E.Begun)
       continue; // Never touched: trivially prepared.
-    bool Yes;
-    if (KitSt) {
-      auto H = bindHandler(Local, E.Agent, E.Kv.PrepareG);
-      auto O = H.call(E.Txn, Gtid);
-      Yes = O.isNormal() && O.value();
-    } else {
-      auto H = bindHandler(Local, E.Agent, E.Kv.Prepare);
-      auto O = H.call(E.Txn);
-      Yes = O.isNormal() && O.value();
-    }
-    if (!Yes) {
+    auto H = bindHandler(Local, E.Agent, E.Kv.Prepare);
+    auto O = H.call(E.Txn, Gtid);
+    if (!O.isNormal() || !O.value()) {
       abort();
       return TwoPhaseResult::Aborted;
     }
@@ -590,15 +542,8 @@ TwoPhaseResult TwoPhaseCoordinator::commit() {
   for (Enlisted &E : Participants) {
     if (!E.Begun)
       continue;
-    bool Ok;
-    if (KitSt) {
-      auto H = bindHandler(Local, E.Agent, E.Kv.CommitG);
-      Ok = H.call(E.Txn, Gtid).isNormal();
-    } else {
-      auto H = bindHandler(Local, E.Agent, E.Kv.Commit);
-      Ok = H.call(E.Txn).isNormal();
-    }
-    if (!Ok)
+    auto H = bindHandler(Local, E.Agent, E.Kv.Commit);
+    if (!H.call(E.Txn, Gtid).isNormal())
       AnyLost = true;
   }
   if (KitSt)
@@ -612,15 +557,10 @@ void TwoPhaseCoordinator::abort() {
     if (!E.Begun)
       continue;
     // Best effort; a durably prepared participant we cannot reach
-    // resolves itself (presumed abort), a volatile one times out with
-    // its own state.
-    if (KitSt) {
-      auto H = bindHandler(Local, E.Agent, E.Kv.AbortG);
-      H.call(E.Txn, Gtid);
-    } else {
-      auto H = bindHandler(Local, E.Agent, E.Kv.Abort);
-      H.call(E.Txn);
-    }
+    // resolves itself (presumed abort), a volatile one keeps its
+    // staged state and locks.
+    auto H = bindHandler(Local, E.Agent, E.Kv.Abort);
+    H.call(E.Txn, Gtid);
   }
   if (KitSt)
     KitSt->finishTxn(Gtid);

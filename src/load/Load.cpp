@@ -255,16 +255,11 @@ namespace {
 
 using chaos::mixSeed;
 
-/// Per-tenant mutable tallies plus the registry instruments they feed
-/// (docs/OBSERVABILITY.md: the load.* family, labelled {tenant=...}).
+/// Per-tenant mutable tallies plus the latency histogram behind their
+/// percentiles (docs/OBSERVABILITY.md: load.latency_us{tenant=...}).
 struct Tally {
   TenantReport R;
   chaos::UnavailableSplit Unavail;
-  Counter *COffered = nullptr;
-  Counter *CNormal = nullptr;
-  Counter *CShed = nullptr;
-  Counter *CFastFail = nullptr;
-  Counter *CExpired = nullptr;
   Histogram *LatUs = nullptr;
 };
 
@@ -369,13 +364,8 @@ World::World(const LoadOptions &Opt)
     const TenantSpec &Ten = Sc.Tenants[T];
     Tally &Ta = Tallies[T];
     Ta.R.Name = Ten.Name;
-    MetricLabels L{{"tenant", Ten.Name}};
-    Ta.COffered = &S.metrics().counter("load.offered", L);
-    Ta.CNormal = &S.metrics().counter("load.normal", L);
-    Ta.CShed = &S.metrics().counter("load.shed", L);
-    Ta.CFastFail = &S.metrics().counter("load.fast_failed", L);
-    Ta.CExpired = &S.metrics().counter("load.expired", L);
-    Ta.LatUs = &S.metrics().histogram("load.latency_us", L);
+    Ta.LatUs =
+        &S.metrics().histogram("load.latency_us", {{"tenant", Ten.Name}});
 
     runtime::GuardianConfig GC;
     GC.Stream = loadStreamConfig(Sc);
@@ -517,7 +507,6 @@ void World::runArrivals(size_t TIdx) {
 
     ++Seq;
     ++Ta.R.Offered;
-    Ta.COffered->inc();
     if (Now < splitAt())
       ++Ta.R.BaseOffered;
     else
@@ -544,7 +533,6 @@ void World::recordNormal(size_t TIdx, Time ArrivedAt, Time T0) {
   Tally &Ta = Tallies[TIdx];
   ++Ta.R.Completed;
   ++Ta.R.Normal;
-  Ta.CNormal->inc();
   if (ArrivedAt < splitAt())
     ++Ta.R.BaseNormal;
   else
@@ -687,9 +675,6 @@ LoadReport World::finish() {
     R.Expired = Ta.Unavail.Expired;
     // Cancels are not part of the load split: they count as other.
     R.OtherUnavailable = Ta.Unavail.Total - R.Shed - R.FastFails - R.Expired;
-    Ta.CShed->inc(R.Shed);
-    Ta.CFastFail->inc(R.FastFails);
-    Ta.CExpired->inc(R.Expired);
 
     // Every arrival resolves to exactly one tallied outcome.
     if (R.Completed != R.Offered)

@@ -151,9 +151,9 @@ TEST_F(DurabilityFixture, DurableCommitSurvivesParticipantCrash) {
     Gtid = T.gtid();
 
     // Replays of the decision are idempotent: a resolver or retry that
-    // re-delivers CommitG for an already-applied gtid succeeds as a
+    // re-delivers Commit for an already-applied gtid succeeds as a
     // no-op even when the local txn id is long gone.
-    auto Dup = bindHandler(Client, Client.newAgent(), KvA.CommitG);
+    auto Dup = bindHandler(Client, Client.newAgent(), KvA.Commit);
     EXPECT_TRUE(Dup.call(9999u, Gtid).isNormal());
   });
   S.run();
@@ -169,6 +169,35 @@ TEST_F(DurabilityFixture, DurableCommitSurvivesParticipantCrash) {
   EXPECT_TRUE(Reborn.Store->Locks.empty());
   EXPECT_TRUE(Reborn.Store->Txns.empty());
   EXPECT_EQ(KvB.Store->Data["y"], "2"); // B never crashed.
+}
+
+/// A durable vote is keyed by its gtid in the log, so a prepare that
+/// carries none (a coordinator without a kit) must be refused, not
+/// logged under gtid 0 where no decision could ever find it.
+TEST_F(DurabilityFixture, DurableParticipantVotesNoWithoutGtid) {
+  auto WalA = newWal("a");
+  TxnKvConfig TC;
+  TC.Wal = WalA.get();
+  TxnKv KvA = installTxnKv(newGuardian("a"), TC);
+  EXPECT_TRUE(KvA.Durable);
+
+  Guardian &Client = newGuardian("cl");
+  Client.spawnProcess("txn", [&] {
+    auto Agent = Client.newAgent();
+    uint32_t Txn = bindHandler(Client, Agent, KvA.Begin)
+                       .call(wire::Unit{})
+                       .value();
+    ASSERT_TRUE(bindHandler(Client, Agent, KvA.Put)
+                    .call(Txn, "k", "v")
+                    .isNormal());
+    auto Vote = bindHandler(Client, Agent, KvA.Prepare).call(Txn, uint64_t{0});
+    ASSERT_TRUE(Vote.isNormal());
+    EXPECT_FALSE(Vote.value());
+  });
+  S.run();
+  EXPECT_EQ(WalA->logBytes(), 0u); // Nothing was forced for the vote.
+  ASSERT_EQ(KvA.Store->Txns.size(), 1u);
+  EXPECT_FALSE(KvA.Store->Txns.begin()->second.Prepared);
 }
 
 /// The regression this PR's satellite demands: the coordinator crashes
@@ -200,7 +229,7 @@ TEST_F(DurabilityFixture, CoordinatorCrashBetweenPhasesResolvesToAbort) {
     uint32_t Txn = Out.value();
     auto Put = bindHandler(Client, Agent, KvA.Put);
     ASSERT_TRUE(Put.call(Txn, "k", "doomed").isNormal());
-    auto Prep = bindHandler(Client, Agent, KvA.PrepareG);
+    auto Prep = bindHandler(Client, Agent, KvA.Prepare);
     auto Vote = Prep.call(Txn, Gtid);
     ASSERT_TRUE(Vote.isNormal());
     EXPECT_TRUE(Vote.value()); // Voted yes; prepare is on stable media.
@@ -261,7 +290,7 @@ TEST_F(DurabilityFixture, LoggedDecisionResolvesToCommitAfterRestart) {
     uint32_t Txn = Out.value();
     auto Put = bindHandler(Client, Agent, KvA.Put);
     ASSERT_TRUE(Put.call(Txn, "k", "committed").isNormal());
-    auto Prep = bindHandler(Client, Agent, KvA.PrepareG);
+    auto Prep = bindHandler(Client, Agent, KvA.Prepare);
     ASSERT_TRUE(Prep.call(Txn, Gtid).isNormal());
     Kit1.St->logCommit(Gtid); // Phase 2 dies right after this force.
   });
@@ -318,7 +347,7 @@ TEST_F(DurabilityFixture, LiveResolverUnblocksLostPhaseTwo) {
     uint32_t Txn = Out.value();
     auto Put = bindHandler(Client, Agent, KvA.Put);
     ASSERT_TRUE(Put.call(Txn, "k", "v").isNormal());
-    auto Prep = bindHandler(Client, Agent, KvA.PrepareG);
+    auto Prep = bindHandler(Client, Agent, KvA.Prepare);
     ASSERT_TRUE(Prep.call(Txn, Gtid).isNormal());
     // The coordinator gives up without telling anyone (client died, no
     // abort messages got through) — under presumed abort it just drops

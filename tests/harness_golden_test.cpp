@@ -309,11 +309,11 @@ const std::vector<LoadRow> &loadTable() {
        "ratio=1.26 p50=2593us p99=2912us p999=3232us "
        "vms=321.780 trace=8268@fe6c655f59585f14",
        {}},
-      {"neworder", "27744@38c34da3ce86a634", 584576037,
+      {"neworder", "27745@2dc3c7e3aea9a70f", 585884962,
        "offered=372 normal=372 shed=0/0 fastfail=0 "
        "expired=0 retries=0 exec=4836 goodput=525->1335cps "
-       "ratio=2.54 p50=115712us p99=194560us p999=194560us "
-       "vms=584.576 trace=27744@38c34da3ce86a634",
+       "ratio=2.54 p50=115712us p99=197169us p999=197169us "
+       "vms=585.885 trace=27745@2dc3c7e3aea9a70f",
        {}},
       {"neworder-crash", "12897@f636fff99fce5920", 575936018,
        "offered=232 normal=145 shed=0/0 fastfail=0 "

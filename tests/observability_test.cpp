@@ -620,6 +620,8 @@ TEST_F(WorldFixture, FulfilledCallEmitsSpanWithLatency) {
   S.run();
 
   const MetricsRegistry &R = S.metrics();
+  // The server answered through a reply batch.
+  EXPECT_GE(countKind(R, EventKind::ReplyBatchTx), 1u);
   ASSERT_GE(countKind(R, EventKind::CallSpan), 1u);
   for (const TraceEvent &E : R.events())
     if (E.Kind == EventKind::CallSpan)

@@ -8,7 +8,7 @@
 //
 //   streamsim --calls 1000 --mode stream --batch 32 --loss 0.2
 //   streamsim --calls 100 --mode rpc --service-us 500
-//   PROMISES_TRACE=1 streamsim --calls 4 --mode stream
+//   streamsim --calls 4 --mode stream --trace-out t.json
 //
 // With --net udp the same workload runs over real loopback UDP sockets
 // (docs/NETWORK.md) instead of the simulator — either both ends in this
@@ -118,8 +118,7 @@ void usage(const char *Argv0) {
       "  --peer IP:BASE    the other process's address (udp roles)\n"
       "  --metrics         print the metrics-registry summary at exit\n"
       "  --metrics-out F   write a JSON Lines metrics snapshot to F\n"
-      "  --trace-out F     write a chrome://tracing event file to F\n"
-      "set PROMISES_TRACE=1 for a transport event trace\n",
+      "  --trace-out F     write a chrome://tracing event file to F\n",
       Argv0);
 }
 
