@@ -82,10 +82,9 @@ struct TxnKvConfig {
   /// hole) — durable participants should always wire one.
   std::function<int(uint64_t Gtid)> QueryStatus;
   /// How long a prepared transaction waits for its decision before the
-  /// participant starts asking the coordinator itself.
+  /// participant starts asking the coordinator itself (then every 10 ms
+  /// while the answer is in-flight/unreachable).
   sim::Time ResolveAfter = sim::msec(40);
-  /// Backoff between status probes that answered in-flight/unreachable.
-  sim::Time ResolveRetry = sim::msec(10);
 };
 
 /// The participant: a key-value store with staged, locked transactions.

@@ -204,11 +204,13 @@ private:
     }
 
   private:
-    /// thread_local so the thread execution backend needs no locking; a
-    /// state released on a different thread than it was acquired on simply
-    /// migrates freelists. Slabs are never returned to the heap.
+    /// One process-wide freelist under the same single-runner discipline
+    /// as the refcount: the thread backend runs each process on its own
+    /// OS thread, but one at a time, so no lock is needed (and a
+    /// per-thread list would strand a slab with every process thread that
+    /// ends). Slabs are never returned to the heap.
     static void *&freeHead() {
-      thread_local void *Head = nullptr;
+      static void *Head = nullptr;
       return Head;
     }
   };

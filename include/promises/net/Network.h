@@ -97,10 +97,9 @@ struct NetConfig {
   double LossRate = 0.0;
   double DupRate = 0.0;
   sim::Time JitterMax = 0; ///< Uniform extra delay; >0 permits reordering.
-  double CorruptRate = 0.0;   ///< Per-copy probability of in-flight bit flips.
-  uint32_t CorruptMaxBits = 8; ///< Bits flipped per corruption: 1..this.
-  double ReorderRate = 0.0;   ///< Per-copy probability of bounded extra delay.
-  sim::Time ReorderMax = 0;   ///< Extra delay drawn uniformly from [0, this].
+  double CorruptRate = 0.0; ///< Per-copy probability of 1..8 bit flips.
+  double ReorderRate = 0.0; ///< Per-copy probability of bounded extra delay.
+  sim::Time ReorderMax = 0; ///< Extra delay drawn uniformly from [0, this].
   uint64_t Seed = 1;
 };
 
@@ -233,7 +232,7 @@ public:
   void onCrash(NodeId N, std::function<void()> Cb) override;
 
   /// Adjusts the byte-damage rate at runtime (chaos bursts). A corrupted
-  /// copy has 1..CorruptMaxBits of its payload bits flipped in flight; it
+  /// copy has 1..8 of its payload bits flipped in flight; it
   /// still *arrives* (and counts as delivered) — detection is the
   /// transport's job via frame checksums (wire/Frame.h).
   void setCorruptRate(double Rate) { Cfg.CorruptRate = Rate; }

@@ -74,12 +74,6 @@ struct SimConfig {
   /// unset.
   BackendKind Backend = defaultBackend();
 
-  /// Virtual-address reservation per fiber stack (rounded up to a page).
-  /// Stacks are carved from large MAP_NORESERVE slabs and pooled, so only
-  /// pages a fiber actually touches become resident — a blocked call
-  /// process costs about one page regardless of this setting.
-  size_t FiberStackBytes = 128 * 1024;
-
   /// When true, every fiber stack is its own mapping with an inaccessible
   /// low guard page, so overflow faults instead of corrupting a neighbor.
   /// Costs one mmap/mprotect pair per pooled stack (and counts against

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Wire-level messages exchanged by call-stream transports, and their
-/// codecs. Two message kinds exist:
+/// codecs. Three message kinds exist:
 ///
 ///  * CallBatchMsg — a batch of buffered call requests from the sending
 ///    end of one stream, plus piggybacked acknowledgements of replies.
@@ -138,16 +138,15 @@ struct CancelMsg {
 /// Any stream-layer message.
 using Message = std::variant<CallBatchMsg, ReplyBatchMsg, CancelMsg>;
 
-/// Encodes \p M with a leading kind byte.
-wire::Bytes encodeMessage(const Message &M);
-
-/// Encodes \p M directly into a sealed frame (wire/Frame.h): the encoder
-/// reserves the frame header up front, presized from the exact encoded
-/// size, then the length and CRC32C are patched in place — one buffer
-/// allocation and zero payload copies per message, byte-identical to
-/// `sealFrame(encodeMessage(M), Checksum)`. Aborts (in every build mode)
-/// if the message fails to encode or exceeds the frame payload limit;
-/// garbage is never transmitted.
+/// Encodes \p M directly into a sealed frame (wire/Frame.h). This is the
+/// only way a stream message is encoded. The frame payload is a kind
+/// byte (1 call batch, 2 reply batch, 3 cancel) followed by the
+/// message's Codec<> body. The encoder reserves the frame header up
+/// front, presized from the exact encoded size, then the length and
+/// CRC32C are patched in place — one buffer allocation and zero payload
+/// copies per message. Aborts (in every build mode) if the message fails
+/// to encode or exceeds the frame payload limit; garbage is never
+/// transmitted.
 wire::Bytes encodeFramedMessage(const Message &M, bool Checksum);
 
 /// Decodes a stream message; std::nullopt on malformed input. Takes a

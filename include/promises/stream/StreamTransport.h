@@ -62,28 +62,25 @@ struct StreamConfig {
   size_t MaxReplyBatch = 16;
   sim::Time ReplyFlushInterval = sim::msec(1);
   /// Retransmit/probe cadence and the break threshold. RetransmitTimeout
-  /// is the *base* cadence: every unproductive retransmit round multiplies
-  /// the current timeout by RetransBackoff, capped at
+  /// is the *base* cadence: every unproductive retransmit round doubles
+  /// the current timeout, capped at
   /// max(RetransmitTimeoutMax, RetransmitTimeout); any progress (or
   /// quiescence) resets it to the base. Each firing is additionally
-  /// delayed by a deterministic jitter uniform in
-  /// [0, timeout * RetransJitter], drawn from an Rng seeded with
-  /// RetransSeed (xor'd with the endpoint identity), so synchronized
-  /// senders do not retransmit in lockstep yet replays stay identical.
+  /// delayed by a deterministic jitter uniform in [0, timeout / 10],
+  /// drawn from an Rng seeded with RetransSeed (xor'd with the endpoint
+  /// identity), so synchronized senders do not retransmit in lockstep
+  /// yet replays stay identical.
   sim::Time RetransmitTimeout = sim::msec(20);
   int MaxRetries = 8;
-  double RetransBackoff = 2.0;
   sim::Time RetransmitTimeoutMax = sim::msec(160);
-  double RetransJitter = 0.1;
   uint64_t RetransSeed = 1;
   /// Sender-side flow control: issueCall blocks the calling process once
-  /// this many calls (or argument bytes) are in flight — issued but not
-  /// yet delivery-acknowledged — on one stream. 0 means unbounded (the
+  /// this many calls are in flight — issued but not yet
+  /// delivery-acknowledged — on one stream. 0 means unbounded (the
   /// pre-flow-control behavior). Blocked issuers resume in issue order as
   /// acknowledgements shrink the window; callers outside a simulated
   /// process cannot block and bypass the limit.
   size_t MaxInFlightCalls = 0;
-  size_t MaxInFlightBytes = 0;
   /// Delay before a pure acknowledgement is sent (piggybacking window).
   sim::Time AckDelay = sim::msec(1);
   /// When true (paper Section 3: broken streams are "restarted

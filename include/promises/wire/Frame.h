@@ -120,15 +120,14 @@ inline uint32_t crc32c(const Bytes &B, uint32_t Seed = 0) {
 
 /// Buffer-traffic tallies for the seal path (docs/OBSERVABILITY.md).
 /// Single-runner discipline (at most one simulated process runs at a
-/// time), so plain counters suffice. PayloadBytesCopied counts payload
-/// bytes memcpy'd into a second buffer while sealing: the legacy
-/// encode-then-copy sealFrame() pays Payload.size() per frame, the
-/// in-place finishFrame() path pays zero. Tests and bench_hotpath read
-/// and reset these to prove the zero-copy property holds.
+/// time), so plain counters suffice. Frames are sealed only in place
+/// (beginFrame() ... finishFrame()), so PayloadBytesCopied — payload
+/// bytes memcpy'd into a second buffer while sealing — is zero by
+/// construction; tests, bench_hotpath and perfbench read it to prove
+/// that the send path stays zero-copy.
 struct FrameStats {
-  uint64_t FramesSealed = 0;        ///< sealFrame() calls (copying path).
-  uint64_t FramesSealedInPlace = 0; ///< finishFrame() calls (zero-copy).
-  uint64_t PayloadBytesCopied = 0;  ///< Payload bytes copied while sealing.
+  uint64_t FramesFinished = 0;     ///< finishFrame() calls.
+  uint64_t PayloadBytesCopied = 0; ///< Payload bytes copied while sealing.
 };
 
 inline FrameStats &frameStats() {
@@ -181,26 +180,6 @@ inline const char *frameErrorName(FrameError E) {
   return "unknown";
 }
 
-/// Wraps \p Payload in a frame header. With \p Checksum false the CRC
-/// field is written as zero (the ablation knob for measuring checksum
-/// cost); the receiver must then also skip verification.
-inline Bytes sealFrame(const Bytes &Payload, bool Checksum = true) {
-  frameStats().FramesSealed++;
-  frameStats().PayloadBytesCopied += Payload.size();
-  Bytes Out;
-  Out.reserve(FrameHeaderBytes + Payload.size());
-  Out.push_back(FrameMagic);
-  Out.push_back(FrameVersion);
-  uint32_t Len = static_cast<uint32_t>(Payload.size());
-  for (size_t I = 0; I != 4; ++I)
-    Out.push_back(static_cast<uint8_t>(Len >> (8 * I)));
-  uint32_t Crc = Checksum ? crc32c(Payload) : 0;
-  for (size_t I = 0; I != 4; ++I)
-    Out.push_back(static_cast<uint8_t>(Crc >> (8 * I)));
-  Out.insert(Out.end(), Payload.begin(), Payload.end());
-  return Out;
-}
-
 /// Begins a zero-copy framed encode: writes a placeholder frame header
 /// into the (must-be-empty) encoder, presized for \p PayloadSizeHint
 /// payload bytes so that a correct hint makes the entire seal a single
@@ -221,7 +200,8 @@ inline void beginFrame(Encoder &E, size_t PayloadSizeHint = 0) {
 /// buffer out. Fails the encoder (and returns empty) on an oversized
 /// payload or a prior encode failure — callers must check E.failed()
 /// before transmitting. With \p Checksum false the CRC field stays zero
-/// (same ablation knob as sealFrame).
+/// (the ablation knob for measuring checksum cost); the receiver must
+/// then also skip verification.
 inline Bytes finishFrame(Encoder &E, bool Checksum = true) {
   if (E.failed())
     return {};
@@ -233,7 +213,7 @@ inline Bytes finishFrame(Encoder &E, bool Checksum = true) {
   E.patchU32(2, static_cast<uint32_t>(PayloadLen));
   if (Checksum)
     E.patchU32(6, crc32c(E.bytes().data() + FrameHeaderBytes, PayloadLen));
-  frameStats().FramesSealedInPlace++;
+  frameStats().FramesFinished++;
   return E.take();
 }
 

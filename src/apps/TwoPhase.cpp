@@ -24,6 +24,9 @@ constexpr uint8_t RecAbort = 3;
 constexpr uint8_t RecIncarnation = 1;
 constexpr uint8_t RecDecidedCommit = 2;
 
+// Backoff between status probes that answered in-flight/unreachable.
+constexpr sim::Time StatusProbeBackoff = sim::msec(10);
+
 void releaseLocks(TxnKv::State &St, uint32_t Txn) {
   for (auto It = St.Locks.begin(); It != St.Locks.end();) {
     if (It->second == Txn)
@@ -268,12 +271,11 @@ TxnKv apps::installTxnKv(Guardian &G, TxnKvConfig Cfg) {
   // outlives recovery unresolved. A volatile participant has nothing
   // to resolve against and arms none.
   auto ArmResolver = [&G, &S, St, Wal, Query = Cfg.QueryStatus,
-                      Retry = Cfg.ResolveRetry, CommitAndLog,
-                      AbortAndLog](uint32_t Txn, uint64_t Gtid,
-                                   sim::Time Delay) {
+                      CommitAndLog, AbortAndLog](uint32_t Txn, uint64_t Gtid,
+                                                 sim::Time Delay) {
     if (Wal == nullptr || !Query)
       return; // No oracle wired: classic blocking participant.
-    G.spawnProcess("txn_resolve", [&G, &S, St, Query, Retry, CommitAndLog,
+    G.spawnProcess("txn_resolve", [&G, &S, St, Query, CommitAndLog,
                                    AbortAndLog, Txn, Gtid, Delay] {
       S.sleep(Delay);
       for (;;) {
@@ -297,7 +299,7 @@ TxnKv apps::installTxnKv(Guardian &G, TxnKvConfig Cfg) {
           AbortAndLog(Txn, Gtid);
           return;
         }
-        S.sleep(Retry); // In flight or unreachable: ask again.
+        S.sleep(StatusProbeBackoff); // In flight or unreachable: ask again.
       }
     });
   };
@@ -378,7 +380,7 @@ TxnKv apps::installTxnKv(Guardian &G, TxnKvConfig Cfg) {
     if (!T.Prepared || T.Gtid == 0)
       continue;
     ++St->InDoubtRecovered;
-    ArmResolver(Id, T.Gtid, Cfg.ResolveRetry);
+    ArmResolver(Id, T.Gtid, StatusProbeBackoff);
   }
 
   return K;

@@ -209,8 +209,7 @@ void SimNetwork::send(Address From, Address To, wire::Bytes Payload) {
     if (Rand.chance(Cfg.ReorderRate) && Cfg.ReorderMax != 0)
       Extra = Rand.below(Cfg.ReorderMax + 1);
     if (Rand.chance(Cfg.CorruptRate) && !D.Payload.empty()) {
-      uint32_t MaxBits = std::max(1u, Cfg.CorruptMaxBits);
-      uint32_t Bits = 1 + static_cast<uint32_t>(Rand.below(MaxBits));
+      uint32_t Bits = 1 + static_cast<uint32_t>(Rand.below(8));
       for (uint32_t B = 0; B != Bits; ++B) {
         uint64_t Pos = Rand.below(D.Payload.size() * 8);
         D.Payload[Pos / 8] ^= static_cast<uint8_t>(1u << (Pos % 8));

@@ -172,11 +172,14 @@ extern "C" void promises_fiber_switch(void **SaveSP, void *RestoreSP);
 ///  * Guard: each stack is its own mapping with a PROT_NONE low page, so
 ///    overflow faults deterministically. One mapping per pooled stack;
 ///    meant for debugging, not 1M scale.
+///
+/// Every stack reserves 128 KiB of address space, rounded up to a page;
+/// a blocked call process touches about one page of it.
 class StackPool {
 public:
-  StackPool(size_t StackBytes, bool Guard)
+  explicit StackPool(bool Guard)
       : PageSize(static_cast<size_t>(sysconf(_SC_PAGESIZE))),
-        StackBytes(roundUp(StackBytes, PageSize)), Guard(Guard) {}
+        StackBytes(roundUp(128 * 1024, PageSize)), Guard(Guard) {}
 
   StackPool(const StackPool &) = delete;
   StackPool &operator=(const StackPool &) = delete;
@@ -206,7 +209,7 @@ private:
   [[noreturn]] static void dieOOM(size_t Len) {
     std::fprintf(stderr,
                  "promises: fiber stack mmap of %zu bytes failed; lower the "
-                 "process count or SimConfig::FiberStackBytes\n",
+                 "process count\n",
                  Len);
     std::abort();
   }
@@ -287,7 +290,7 @@ extern "C" void promisesFiberEntry();
 class FiberBackend final : public ExecutionBackend {
 public:
   explicit FiberBackend(const SimConfig &Cfg)
-      : Pool(Cfg.FiberStackBytes, Cfg.FiberGuardPages) {}
+      : Pool(Cfg.FiberGuardPages) {}
 
   void start(Process &P) override {
     auto *E = new FiberExec();

@@ -78,14 +78,6 @@ void writeMessage(wire::Encoder &E, const Message &M) {
 }
 } // namespace
 
-wire::Bytes promises::stream::encodeMessage(const Message &M) {
-  wire::Encoder E;
-  E.reserve(messageSizeOf(M));
-  writeMessage(E, M);
-  PROMISES_CHECK(!E.failed(), "stream messages must always encode");
-  return E.take();
-}
-
 wire::Bytes promises::stream::encodeFramedMessage(const Message &M,
                                                   bool Checksum) {
   wire::Encoder E;
@@ -151,7 +143,6 @@ struct StreamTransport::SenderStream {
   /// Explicit replies received but not yet consumable in order.
   SeqRing<WireReply> PendingReplies;
   size_t BufferedBytes = 0; ///< Untransmitted argument bytes.
-  size_t WindowBytes = 0;   ///< Argument bytes retained in Window.
 
   bool Broken = false;
   bool BrokenIsFailure = false;
@@ -470,9 +461,7 @@ StreamTransport::getSender(AgentId A, net::Address R, GroupId G) {
 }
 
 bool StreamTransport::windowFull(const SenderStream &S) const {
-  return (Cfg.MaxInFlightCalls > 0 &&
-          S.Window.size() >= Cfg.MaxInFlightCalls) ||
-         (Cfg.MaxInFlightBytes > 0 && S.WindowBytes >= Cfg.MaxInFlightBytes);
+  return Cfg.MaxInFlightCalls > 0 && S.Window.size() >= Cfg.MaxInFlightCalls;
 }
 
 void StreamTransport::blockForWindow(SenderStream &S) {
@@ -554,8 +543,7 @@ StreamTransport::issueCall(AgentId Agent, net::Address Remote, GroupId Group,
   // (timers, tests poking the transport directly) bypass the limit. A
   // broken stream's window is empty, so it never blocks — the break
   // handling below decides what happens to the call.
-  if ((Cfg.MaxInFlightCalls > 0 || Cfg.MaxInFlightBytes > 0) &&
-      sim::Simulation::inProcess() && !S.Broken && windowFull(S)) {
+  if (windowFull(S) && sim::Simulation::inProcess() && !S.Broken) {
     blockForWindow(S);
     if (Dead)
       return {false, false, core::reasons::TransportShutDown};
@@ -576,7 +564,6 @@ StreamTransport::issueCall(AgentId Agent, net::Address Remote, GroupId Group,
   Req.FlushReply = IsRpc;
   Req.DeadlineNs = DeadlineAt;
   S.BufferedBytes += Args.size();
-  S.WindowBytes += Args.size();
   Req.Args = std::move(Args);
   S.Window.insert(Sq, std::move(Req));
   Counters.WindowOccupancy->observe(static_cast<double>(S.Window.size()));
@@ -721,18 +708,23 @@ void StreamTransport::retransmitWindow(SenderStream &S) {
   }
 }
 
+namespace {
+/// Every unproductive retransmit round multiplies the timeout by this.
+constexpr double RtoBackoffFactor = 2.0;
+/// Each retransmit firing waits up to this fraction of its timeout more.
+constexpr double RtoJitterFraction = 0.1;
+} // namespace
+
 void StreamTransport::armSenderRetransTimer(SenderStream &S) {
   if (S.RetransTimerArmed || S.Broken || Dead)
     return;
   S.RetransTimerArmed = true;
   sim::Time Base = S.CurrentRto ? S.CurrentRto : Cfg.RetransmitTimeout;
   sim::Time Delay = Base;
-  if (Cfg.RetransJitter > 0) {
-    auto Span = static_cast<uint64_t>(static_cast<double>(Base) *
-                                      Cfg.RetransJitter);
-    if (Span > 0)
-      Delay += static_cast<sim::Time>(RetransRng.below(Span + 1));
-  }
+  auto Span =
+      static_cast<uint64_t>(static_cast<double>(Base) * RtoJitterFraction);
+  if (Span > 0)
+    Delay += static_cast<sim::Time>(RetransRng.below(Span + 1));
   S.RetransTimer = Sim.schedule(Delay, [this, &S] {
     S.RetransTimerArmed = false;
     if (Dead || S.Broken)
@@ -786,7 +778,7 @@ void StreamTransport::onSenderRetransTimer(SenderStream &S) {
   // An unproductive round: back off before the next firing, up to the cap.
   sim::Time Cap = std::max(Cfg.RetransmitTimeoutMax, Cfg.RetransmitTimeout);
   sim::Time Cur = S.CurrentRto ? S.CurrentRto : Cfg.RetransmitTimeout;
-  S.CurrentRto = backoffRto(Cur, Cfg.RetransBackoff, Cap);
+  S.CurrentRto = backoffRto(Cur, RtoBackoffFactor, Cap);
   armSenderRetransTimer(S);
 }
 
@@ -820,9 +812,7 @@ void StreamTransport::handleReplyBatch(const net::Address &From,
     S->AckedCallThrough = M.AckCallThrough;
     while (!S->Window.empty() &&
            S->Window.firstSeq() <= S->AckedCallThrough) {
-      Seq Q = S->Window.firstSeq();
-      S->WindowBytes -= S->Window.at(Q).Args.size();
-      S->Window.erase(Q);
+      S->Window.erase(S->Window.firstSeq());
     }
     S->WindowCv.notifyAll();
   }
@@ -960,7 +950,6 @@ void StreamTransport::breakSender(SenderStream &S, bool IsFailure,
   S.Window.clear();
   S.PendingReplies.clear();
   S.BufferedBytes = 0;
-  S.WindowBytes = 0;
   if (S.FlushTimerArmed) {
     Sim.cancel(S.FlushTimer);
     S.FlushTimerArmed = false;
@@ -996,7 +985,6 @@ void StreamTransport::reincarnate(SenderStream &S) {
   S.Slots.clear();
   S.PendingReplies.clear();
   S.BufferedBytes = 0;
-  S.WindowBytes = 0;
   S.Broken = false;
   S.BrokenIsFailure = false;
   S.BreakReason.clear();

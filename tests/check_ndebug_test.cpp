@@ -55,8 +55,6 @@ TEST(CheckNDebug, OversizedArgsAbortInsteadOfSealingGarbage) {
   stream::Message M = callBatchWithArgBytes(wire::MaxStringBytes + 1);
   EXPECT_DEATH((void)stream::encodeFramedMessage(M, true),
                "PROMISES_CHECK failed: stream messages must always encode");
-  EXPECT_DEATH((void)stream::encodeMessage(M),
-               "PROMISES_CHECK failed: stream messages must always encode");
 }
 
 TEST(CheckNDebug, FrameLimitOverflowAbortsInsteadOfSealingGarbage) {

@@ -12,6 +12,7 @@
 
 #include "promises/core/Exceptions.h"
 #include "promises/runtime/RemoteHandler.h"
+#include "promises/wire/Frame.h"
 
 #include <gtest/gtest.h>
 
@@ -692,8 +693,10 @@ TEST_F(ResilienceFixture, CancelMsgCodecRoundTrips) {
   CM.Group = 4;
   CM.Inc = 2;
   CM.Seqs = {3, 5, 8};
-  auto B = stream::encodeMessage(stream::Message(CM));
-  auto M = stream::decodeMessage(B);
+  wire::Bytes Frame = stream::encodeFramedMessage(stream::Message(CM), true);
+  auto Payload = wire::openFrameInPlace(Frame);
+  ASSERT_TRUE(Payload.has_value());
+  auto M = stream::decodeMessage(*Payload);
   ASSERT_TRUE(M.has_value());
   ASSERT_TRUE(std::holds_alternative<stream::CancelMsg>(*M));
   EXPECT_EQ(std::get<stream::CancelMsg>(*M), CM);

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "promises/stream/StreamTransport.h"
+#include "promises/wire/Frame.h"
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,15 @@ wire::Bytes bytesOf(uint32_t V) {
 uint32_t u32Of(const wire::Bytes &B) {
   wire::Decoder D(B);
   return D.readU32();
+}
+
+/// \p M through the send and receive paths: seal, open, decode.
+std::optional<Message> roundTrip(const Message &M) {
+  wire::Bytes Frame = encodeFramedMessage(M, true);
+  std::optional<wire::ByteView> Payload = wire::openFrameInPlace(Frame);
+  if (!Payload)
+    return std::nullopt;
+  return decodeMessage(*Payload);
 }
 
 /// Ports understood by the test server sink.
@@ -96,8 +106,7 @@ TEST_F(StreamFixture, MessageCodecRoundTrips) {
   CB.FlushReplies = true;
   CB.Calls.push_back(CallReq{1, EchoPort, false, true, 0, bytesOf(9)});
   CB.Calls.push_back(CallReq{2, ThrowPort, true, false, sim::msec(7), {}});
-  auto B1 = encodeMessage(Message(CB));
-  auto M1 = decodeMessage(B1);
+  auto M1 = roundTrip(Message(CB));
   ASSERT_TRUE(M1.has_value());
   EXPECT_EQ(std::get<CallBatchMsg>(*M1), CB);
 
@@ -112,8 +121,7 @@ TEST_F(StreamFixture, MessageCodecRoundTrips) {
   RB.BreakReason = "could not decode";
   RB.Replies.push_back(
       WireReply{1, ReplyStatus::Exception, ThrowTag, bytesOf(4), ""});
-  auto B2 = encodeMessage(Message(RB));
-  auto M2 = decodeMessage(B2);
+  auto M2 = roundTrip(Message(RB));
   ASSERT_TRUE(M2.has_value());
   EXPECT_EQ(std::get<ReplyBatchMsg>(*M2), RB);
 

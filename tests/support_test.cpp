@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "promises/support/Rng.h"
-#include "promises/support/Stats.h"
 #include "promises/support/StrUtil.h"
 
 #include <gtest/gtest.h>
@@ -93,81 +92,6 @@ TEST(Rng, SplitGivesIndependentStream) {
     if (A.next() != B.next())
       AnyDiff = true;
   EXPECT_TRUE(AnyDiff);
-}
-
-TEST(Stats, EmptyDefaults) {
-  Stats S;
-  EXPECT_TRUE(S.empty());
-  EXPECT_EQ(S.count(), 0u);
-  EXPECT_EQ(S.mean(), 0.0);
-  EXPECT_EQ(S.min(), 0.0);
-  EXPECT_EQ(S.max(), 0.0);
-  EXPECT_EQ(S.percentile(50), 0.0);
-}
-
-TEST(Stats, BasicMoments) {
-  Stats S;
-  for (double V : {1.0, 2.0, 3.0, 4.0})
-    S.add(V);
-  EXPECT_EQ(S.count(), 4u);
-  EXPECT_EQ(S.sum(), 10.0);
-  EXPECT_EQ(S.mean(), 2.5);
-  EXPECT_EQ(S.min(), 1.0);
-  EXPECT_EQ(S.max(), 4.0);
-}
-
-TEST(Stats, PercentilesNearestRank) {
-  Stats S;
-  for (int I = 1; I <= 100; ++I)
-    S.add(I);
-  EXPECT_EQ(S.percentile(0), 1.0);
-  EXPECT_EQ(S.percentile(100), 100.0);
-  EXPECT_NEAR(S.median(), 50.0, 1.0);
-  EXPECT_NEAR(S.percentile(90), 90.0, 1.0);
-}
-
-TEST(Stats, PercentileEdgeCases) {
-  // Empty: every percentile is 0, not a crash or a read past the end.
-  Stats Empty;
-  EXPECT_EQ(Empty.percentile(0), 0.0);
-  EXPECT_EQ(Empty.percentile(100), 0.0);
-  // Single sample: rank (P/100)*(N-1) is 0 for every P, so all
-  // percentiles collapse to that one sample.
-  Stats One;
-  One.add(42.0);
-  EXPECT_EQ(One.percentile(0), 42.0);
-  EXPECT_EQ(One.percentile(50), 42.0);
-  EXPECT_EQ(One.percentile(100), 42.0);
-  EXPECT_EQ(One.median(), 42.0);
-  // Two samples: P=0 and P=100 hit the exact extremes.
-  Stats Two;
-  Two.add(-3.0);
-  Two.add(7.0);
-  EXPECT_EQ(Two.percentile(0), -3.0);
-  EXPECT_EQ(Two.percentile(100), 7.0);
-}
-
-TEST(Stats, AddAfterPercentileResorts) {
-  Stats S;
-  S.add(5.0);
-  EXPECT_EQ(S.median(), 5.0);
-  S.add(1.0);
-  S.add(9.0);
-  EXPECT_EQ(S.median(), 5.0);
-  EXPECT_EQ(S.min(), 1.0);
-}
-
-TEST(Stats, PercentileAndMedianAreConst) {
-  Stats S;
-  for (int I = 1; I <= 10; ++I)
-    S.add(I);
-  // percentile/median are callable through a const reference: the sort
-  // cache is an implementation detail (mutable), not part of the
-  // observable state.
-  const Stats &C = S;
-  EXPECT_EQ(C.median(), C.percentile(50));
-  EXPECT_EQ(C.percentile(0), 1.0);
-  EXPECT_EQ(C.percentile(100), 10.0);
 }
 
 TEST(StrUtil, FormatDurationUnits) {

@@ -22,6 +22,16 @@ namespace {
 
 Bytes bytes(std::initializer_list<uint8_t> L) { return Bytes(L); }
 
+/// Seals an arbitrary \p Payload through the in-place path, one byte at
+/// a time: the frames below need payloads no stream message encodes to.
+Bytes frameOf(const Bytes &Payload, bool Checksum = true) {
+  Encoder E;
+  beginFrame(E, Payload.size());
+  for (uint8_t B : Payload)
+    E.writeU8(B);
+  return finishFrame(E, Checksum);
+}
+
 TEST(Crc32c, KnownAnswers) {
   // The canonical CRC-32C check value (RFC 3720 appendix, and every other
   // Castagnoli implementation): crc32c("123456789") == 0xE3069283.
@@ -97,7 +107,7 @@ TEST(Frame, SealOpenRoundTrips) {
     Bytes Payload(N);
     for (size_t I = 0; I != N; ++I)
       Payload[I] = static_cast<uint8_t>(I * 37 + 11);
-    Bytes Frame = sealFrame(Payload);
+    Bytes Frame = frameOf(Payload);
     EXPECT_EQ(Frame.size(), FrameHeaderBytes + N);
     FrameError Err = FrameError::BadMagic; // Must be reset to None.
     auto Opened = openFrame(Frame, true, &Err);
@@ -108,7 +118,7 @@ TEST(Frame, SealOpenRoundTrips) {
 }
 
 TEST(Frame, EveryHeaderByteIsChecked) {
-  Bytes Frame = sealFrame(bytes({0xAA, 0xBB, 0xCC}));
+  Bytes Frame = frameOf(bytes({0xAA, 0xBB, 0xCC}));
 
   // Truncated: shorter than the header.
   for (size_t N = 0; N != FrameHeaderBytes; ++N) {
@@ -188,7 +198,7 @@ TEST(Frame, ChecksumAblation) {
   // the structural header checks still apply. This is the benchmark
   // ablation knob, not a wire option (see StreamConfig::FrameChecksums).
   Bytes Payload = bytes({1, 2, 3});
-  Bytes Unsummed = sealFrame(Payload, /*Checksum=*/false);
+  Bytes Unsummed = frameOf(Payload, /*Checksum=*/false);
   EXPECT_FALSE(openFrame(Unsummed, /*VerifyChecksum=*/true).has_value());
   auto Opened = openFrame(Unsummed, /*VerifyChecksum=*/false);
   ASSERT_TRUE(Opened.has_value());
@@ -196,7 +206,7 @@ TEST(Frame, ChecksumAblation) {
 
   // A verifying receiver still accepts checksummed frames, and a
   // non-verifying receiver accepts them too (the CRC is simply ignored).
-  Bytes Summed = sealFrame(Payload, /*Checksum=*/true);
+  Bytes Summed = frameOf(Payload, /*Checksum=*/true);
   EXPECT_TRUE(openFrame(Summed, /*VerifyChecksum=*/false).has_value());
 
   // Structural damage is caught even with verification off.
@@ -210,7 +220,7 @@ TEST(Frame, ChecksumAblation) {
 TEST(Frame, TrailingBytesRejectedInStrictMode) {
   // Without the out-param, any size mismatch — including extra bytes past
   // the declared payload — is BadLength, byte-for-byte as before.
-  Bytes Frame = sealFrame(bytes({0x10, 0x20, 0x30}));
+  Bytes Frame = frameOf(bytes({0x10, 0x20, 0x30}));
   Bytes Padded = Frame;
   Padded.push_back(0xEE);
   Padded.push_back(0xFF);
@@ -221,7 +231,7 @@ TEST(Frame, TrailingBytesRejectedInStrictMode) {
 
 TEST(Frame, TrailingBytesToleratedAndCounted) {
   Bytes Payload = bytes({0x10, 0x20, 0x30});
-  Bytes Frame = sealFrame(Payload);
+  Bytes Frame = frameOf(Payload);
 
   // Exact-length frame: tolerant mode reports zero trailing bytes.
   size_t Trailing = 1234;
@@ -268,7 +278,7 @@ TEST(Frame, RejectedPaddedFrameReportsNoTrailingBytes) {
   // A padded frame whose payload fails the checksum is dropped whole; its
   // trailing bytes must not be reported, or the transport would count
   // them in net.frames_trailing_bytes for a frame it never accepted.
-  Bytes Padded = sealFrame(bytes({0x10, 0x20, 0x30}));
+  Bytes Padded = frameOf(bytes({0x10, 0x20, 0x30}));
   Padded.push_back(0xEE);
   Padded.push_back(0xFF);
   Padded[FrameHeaderBytes] ^= 0x01;
@@ -286,7 +296,7 @@ TEST(Frame, RejectedPaddedFrameReportsNoTrailingBytes) {
 
 TEST(Frame, InPlaceOpenViewsThePayloadInsideTheFrame) {
   Bytes Payload = bytes({0x01, 0x02, 0x03, 0x04});
-  Bytes Padded = sealFrame(Payload);
+  Bytes Padded = frameOf(Payload);
   Padded.push_back(0xEE);
   size_t Trailing = 0;
   auto View = openFrameInPlace(Padded, true, nullptr, &Trailing);
@@ -307,7 +317,7 @@ TEST(Frame, ErrorNamesAreDistinct) {
 }
 
 TEST(Frame, ErrPointerIsOptional) {
-  Bytes F = sealFrame(bytes({9}));
+  Bytes F = frameOf(bytes({9}));
   F[0] = 0;
   EXPECT_FALSE(openFrame(F).has_value()); // Must not dereference null.
 }

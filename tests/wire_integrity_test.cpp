@@ -33,6 +33,16 @@ wire::Bytes bytesOf(uint32_t V) {
   return E.take();
 }
 
+/// Seals an arbitrary \p Payload in place, one byte at a time: the
+/// injected frames below carry payloads no stream message encodes to.
+wire::Bytes frameOf(const wire::Bytes &Payload) {
+  wire::Encoder E;
+  wire::beginFrame(E, Payload.size());
+  for (uint8_t B : Payload)
+    E.writeU8(B);
+  return wire::finishFrame(E);
+}
+
 uint32_t u32Of(const wire::Bytes &B) {
   wire::Decoder D(B);
   return D.readU32();
@@ -162,7 +172,7 @@ TEST_F(IntegrityFixture, GarbageDatagramsAreRejectedWithCause) {
   S.schedule(usec(1), [&] {
     Net->send(Client->address(), Server->address(), {0xDE, 0xAD, 0xBE, 0xEF});
     Net->send(Client->address(), Server->address(), {wire::FrameMagic});
-    wire::Bytes F = wire::sealFrame(bytesOf(9));
+    wire::Bytes F = frameOf(bytesOf(9));
     F[0] ^= 0xFF;
     Net->send(Client->address(), Server->address(), F);
   });
@@ -183,7 +193,7 @@ TEST_F(IntegrityFixture, CorruptPaddedFrameCountsNoTrailingBytes) {
   // padding behind it belongs to a rejected frame and must not reach
   // net.frames_trailing_bytes.
   S.schedule(usec(1), [&] {
-    wire::Bytes F = wire::sealFrame(bytesOf(9));
+    wire::Bytes F = frameOf(bytesOf(9));
     F.insert(F.end(), {0x00, 0x00});
     F[wire::FrameHeaderBytes] ^= 0x01;
     Net->send(Client->address(), Server->address(), F);
@@ -195,7 +205,7 @@ TEST_F(IntegrityFixture, CorruptPaddedFrameCountsNoTrailingBytes) {
   // The same padding behind an intact frame is counted (the payload is
   // not a stream message, so it is then dropped as malformed).
   S.schedule(usec(1), [&] {
-    wire::Bytes F = wire::sealFrame(bytesOf(9));
+    wire::Bytes F = frameOf(bytesOf(9));
     F.insert(F.end(), {0x00, 0x00});
     Net->send(Client->address(), Server->address(), F);
   });
@@ -212,7 +222,7 @@ TEST_F(IntegrityFixture, MalformedButChecksummedPayloadIsCountedAsLocalBug) {
   // its own counter and trace detail so chaos can flag any occurrence.
   S.schedule(usec(1), [&] {
     Net->send(Client->address(), Server->address(),
-              wire::sealFrame({0x77, 0x01, 0x02}));
+              frameOf({0x77, 0x01, 0x02}));
   });
   S.run();
   EXPECT_EQ(Server->counters().MalformedDropped, 1u);

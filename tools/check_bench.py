@@ -3,7 +3,9 @@
 
 Usage: check_bench.py <fresh.json> <committed-baseline.json>
 
-Handles two record schemas, dispatched on the "bench" field:
+Handles four record schemas, dispatched on the "bench" field. A record
+whose bench no checker knows, or that lacks a field its checker reads,
+fails; a missing count is never read as zero.
 
 bench_hotpath (BENCH_7): wall-clock ns/call is machine-dependent, so it
 only fails on a large (>25%) regression against the committed number.
@@ -47,7 +49,7 @@ def fail(msg):
 
 
 def check_netpath(fresh, base):
-    if fresh.get("malformed_dropped", 0) != 0:
+    if fresh["malformed_dropped"] != 0:
         fail(f"netpath saw {fresh['malformed_dropped']} malformed frames "
              f"on loopback")
     for key in ("p50_ns", "p99_ns"):
@@ -69,7 +71,7 @@ def check_netpath(fresh, base):
 
 
 def check_overload(fresh, base):
-    if fresh.get("battery_violations", 0) != 0:
+    if fresh["battery_violations"] != 0:
         fail(f"overload battery reported {fresh['battery_violations']} "
              f"violations")
     ratio, floor = fresh["goodput_ratio"], fresh["goodput_floor"]
@@ -125,22 +127,7 @@ def check_recovery(fresh, base):
     print("check_bench: OK")
 
 
-def main():
-    if len(sys.argv) != 3:
-        fail(f"usage: {sys.argv[0]} <fresh.json> <committed-baseline.json>")
-    with open(sys.argv[1]) as f:
-        fresh = json.load(f)
-    with open(sys.argv[2]) as f:
-        base = json.load(f)
-    if fresh.get("bench") == "bench_netpath":
-        check_netpath(fresh, base)
-        return
-    if fresh.get("bench") == "bench_overload":
-        check_overload(fresh, base)
-        return
-    if fresh.get("bench") == "bench_recovery":
-        check_recovery(fresh, base)
-        return
+def check_hotpath(fresh, base):
     for path in ("rpc", "stream"):
         f_row, b_row = fresh[path], base[path]
         ns_f, ns_b = f_row["ns_per_call"], b_row["ns_per_call"]
@@ -158,6 +145,31 @@ def main():
               f"allocs/call {allocs_f} (baseline {allocs_b}), "
               f"seal-copied {copied}")
     print("check_bench: OK")
+
+
+CHECKERS = {
+    "bench_hotpath": check_hotpath,
+    "bench_netpath": check_netpath,
+    "bench_overload": check_overload,
+    "bench_recovery": check_recovery,
+}
+
+
+def main():
+    if len(sys.argv) != 3:
+        fail(f"usage: {sys.argv[0]} <fresh.json> <committed-baseline.json>")
+    with open(sys.argv[1]) as f:
+        fresh = json.load(f)
+    with open(sys.argv[2]) as f:
+        base = json.load(f)
+    checker = CHECKERS.get(fresh.get("bench"))
+    if checker is None:
+        fail(f"no checker for bench {fresh.get('bench')!r} "
+             f"(known: {', '.join(CHECKERS)})")
+    try:
+        checker(fresh, base)
+    except KeyError as e:
+        fail(f"{fresh['bench']} record is missing field {e}")
 
 
 if __name__ == "__main__":

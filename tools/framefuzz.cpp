@@ -170,6 +170,17 @@ Message randomMessage(Rng &R) {
   }
 }
 
+/// Seals arbitrary payload bytes with a correct header and checksum, one
+/// byte at a time through the in-place path: what a buggy-but-honest
+/// sender would put on the wire.
+wire::Bytes sealHonestly(const wire::Bytes &Payload) {
+  wire::Encoder E;
+  wire::beginFrame(E, Payload.size());
+  for (uint8_t B : Payload)
+    E.writeU8(B);
+  return wire::finishFrame(E);
+}
+
 /// Damages \p B in place and guarantees the result differs from the
 /// original (a no-op "mutation" would make the must-reject expectation
 /// wrong).
@@ -247,18 +258,21 @@ int main(int Argc, char **Argv) {
 
   for (uint64_t I = 0; I != O.Frames; ++I) {
     Message M = randomMessage(R);
-    wire::Bytes Payload = encodeMessage(M);
-    wire::Bytes Frame = wire::sealFrame(Payload);
+    wire::Bytes Frame = encodeFramedMessage(M, true);
 
-    // A sanity anchor: the unmutated frame must always open back to the
-    // exact payload. If this ever fails the seal/open pair itself is
-    // broken and every other expectation below is meaningless.
+    // A sanity anchor: the unmutated frame must always open and decode
+    // back to the exact message. If this ever fails the seal/open pair
+    // itself is broken and every other expectation below is meaningless.
     wire::FrameError FE = wire::FrameError::None;
     std::optional<wire::Bytes> Opened = wire::openFrame(Frame, true, &FE);
-    if (!Opened || *Opened != Payload) {
+    std::optional<Message> Pristine;
+    if (Opened)
+      Pristine = decodeMessage(*Opened);
+    if (!Pristine || !(*Pristine == M)) {
       violation(T, I, "pristine frame failed to open");
       continue;
     }
+    const wire::Bytes &Payload = *Opened;
 
     switch (R.below(4)) {
     case 0: { // Damage the sealed frame.
@@ -286,7 +300,7 @@ int main(int Argc, char **Argv) {
       ++T.PayloadMutations;
       wire::Bytes Damaged = Payload;
       mutateBytes(R, Damaged);
-      wire::Bytes Sealed = wire::sealFrame(Damaged);
+      wire::Bytes Sealed = sealHonestly(Damaged);
       FE = wire::FrameError::None;
       std::optional<wire::Bytes> P = wire::openFrame(Sealed, true, &FE);
       if (!P || *P != Damaged) {
@@ -301,7 +315,11 @@ int main(int Argc, char **Argv) {
       ++T.Decoded;
       // Whatever the decoder accepted must be a stable value: encoding
       // it and decoding again must reproduce it exactly.
-      std::optional<Message> D2 = decodeMessage(encodeMessage(*D));
+      wire::Bytes Again = encodeFramedMessage(*D, true);
+      std::optional<wire::ByteView> P2 = wire::openFrameInPlace(Again);
+      std::optional<Message> D2;
+      if (P2)
+        D2 = decodeMessage(*P2);
       if (!D2 || !(*D2 == *D))
         violation(T, I, "decoded message failed canonical round trip");
       break;

@@ -16,6 +16,7 @@
 #include "promises/load/Load.h"
 #include "promises/support/StrUtil.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -144,9 +145,10 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
     std::fprintf(stderr, "error: --seeds must be > 0\n");
     return false;
   }
-  if (O.RateScale <= 0 || O.DurationScale <= 0) {
-    std::fprintf(stderr,
-                 "error: --rate-scale/--duration-scale must be > 0\n");
+  if (!(O.RateScale > 0 && std::isfinite(O.RateScale)) ||
+      !(O.DurationScale > 0 && std::isfinite(O.DurationScale))) {
+    std::fprintf(stderr, "error: --rate-scale/--duration-scale must be "
+                         "finite and > 0\n");
     return false;
   }
   for (const std::optional<double> &Rate : {O.TornRate, O.LostRate})

@@ -53,8 +53,6 @@ struct Options {
   uint64_t Seed = 1;
   sim::BackendKind Backend = sim::SimConfig::defaultBackend();
   size_t Window = 0;       ///< MaxInFlightCalls; 0 = unbounded.
-  size_t WindowBytes = 0;  ///< MaxInFlightBytes; 0 = unbounded.
-  double Backoff = 2.0;    ///< Retransmit backoff multiplier.
   uint64_t RtoMaxUs = 0;   ///< Backoff cap; 0 = keep the default.
   uint64_t CrashAtMs = 0;  ///< 0 = never.
   uint64_t DeadlineUs = 0; ///< Per-call deadline; 0 = none.
@@ -97,8 +95,6 @@ void usage(const char *Argv0) {
       "  --backend B       fiber|thread execution backend (default:\n"
       "                    $PROMISES_BACKEND, else fiber)\n"
       "  --window N        max in-flight (unacked) calls; 0 = unbounded\n"
-      "  --window-bytes B  max in-flight argument bytes; 0 = unbounded\n"
-      "  --backoff F       retransmit backoff multiplier (default 2)\n"
       "  --rto-max-us T    retransmit backoff cap (default 160000)\n"
       "  --crash-at-ms T   crash the server at virtual time T (default "
       "never)\n"
@@ -160,10 +156,6 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
     }
     else if (!std::strcmp(A, "--window") && (V = Need(A)))
       O.Window = static_cast<size_t>(std::atoll(V));
-    else if (!std::strcmp(A, "--window-bytes") && (V = Need(A)))
-      O.WindowBytes = static_cast<size_t>(std::atoll(V));
-    else if (!std::strcmp(A, "--backoff") && (V = Need(A)))
-      O.Backoff = std::atof(V);
     else if (!std::strcmp(A, "--rto-max-us") && (V = Need(A)))
       O.RtoMaxUs = static_cast<uint64_t>(std::atoll(V));
     else if (!std::strcmp(A, "--crash-at-ms") && (V = Need(A)))
@@ -209,6 +201,10 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
     }
     if (!V && std::strcmp(A, "--help") && std::strcmp(A, "-h"))
       return false;
+  }
+  if (!(O.Loss >= 0 && O.Loss <= 1) || !(O.Dup >= 0 && O.Dup <= 1)) {
+    std::fprintf(stderr, "error: --loss/--dup must be in [0,1]\n");
+    return false;
   }
   if (O.Mode != "stream" && O.Mode != "rpc" && O.Mode != "send") {
     std::fprintf(stderr, "error: bad --mode '%s' (valid: stream, rpc, send)\n",
@@ -293,8 +289,6 @@ int main(int Argc, char **Argv) {
   GC.Stream.MaxBatchCalls = O.Batch;
   GC.Stream.MaxReplyBatch = O.Batch;
   GC.Stream.MaxInFlightCalls = O.Window;
-  GC.Stream.MaxInFlightBytes = O.WindowBytes;
-  GC.Stream.RetransBackoff = O.Backoff;
   if (O.RtoMaxUs != 0)
     GC.Stream.RetransmitTimeoutMax = sim::usec(O.RtoMaxUs);
   GC.Stream.RetransSeed = O.Seed;
