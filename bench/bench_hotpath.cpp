@@ -12,9 +12,9 @@
 //  * seal-copied bytes/call — payload bytes memcpy'd while sealing frames
 //    (wire::frameStats()); the zero-copy send path must keep this at 0.
 //
-// Emits the PR 7+ perf-trajectory point (BENCH_7.json): run with --out.
-// CI's perf-smoke job fails if ns/call regresses >25% against the
-// committed baseline (tools/check_bench.py).
+// Emits the BENCH_7 record (support/BenchRecord.h): run with --out. CI's
+// perf-smoke job gates it against the committed BENCH_7.json with
+// tools/check_bench.py.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +22,7 @@
 #include "promises/net/Network.h"
 #include "promises/sim/Simulation.h"
 #include "promises/stream/StreamTransport.h"
+#include "promises/support/BenchRecord.h"
 #include "promises/wire/Frame.h"
 
 #include <atomic>
@@ -185,14 +186,15 @@ void printSample(const char *Name, const Sample &S) {
               S.WireBytesPerCall);
 }
 
-void writeJson(std::FILE *F, const char *Name, const Sample &S,
-               const char *Trail) {
-  std::fprintf(F,
-               " \"%s\": {\"ns_per_call\": %.1f, \"allocs_per_call\": %.2f, "
-               "\"seal_copied_bytes_per_call\": %.1f, "
-               "\"wire_bytes_per_call\": %.1f}%s\n",
-               Name, S.NsPerCall, S.AllocsPerCall, S.SealCopiedPerCall,
-               S.WireBytesPerCall, Trail);
+void addSample(BenchRecord &Rec, const std::string &Path, const Sample &S) {
+  Rec.metric(Path + ".ns_per_call", "ns", MetricKind::Wall, S.NsPerCall, 1,
+             Gate::maxRatio(1.25));
+  Rec.metric(Path + ".allocs_per_call", "count", MetricKind::Exact,
+             S.AllocsPerCall, 2, Gate::maxRatio(1.0));
+  Rec.metric(Path + ".seal_copied_bytes_per_call", "bytes", MetricKind::Exact,
+             S.SealCopiedPerCall, 1, Gate::maxRatio(1.0));
+  Rec.metric(Path + ".wire_bytes_per_call", "bytes", MetricKind::Exact,
+             S.WireBytesPerCall, 1);
 }
 
 } // namespace
@@ -240,19 +242,14 @@ int main(int argc, char **argv) {
   printSample("stream", Stream);
 
   if (!Opt.Out.empty()) {
-    std::FILE *F = std::fopen(Opt.Out.c_str(), "w");
-    if (!F) {
-      std::perror("open --out");
+    BenchRecord Rec("bench_hotpath", 7);
+    Rec.count("calls", "count", Opt.Calls);
+    Rec.count("arg_bytes", "bytes", Opt.ArgBytes);
+    Rec.count("pipeline", "count", Opt.Pipeline);
+    addSample(Rec, "rpc", Rpc);
+    addSample(Rec, "stream", Stream);
+    if (!Rec.write(Opt.Out))
       return 1;
-    }
-    std::fprintf(F,
-                 "{\"bench\": \"bench_hotpath\", \"pr\": 7, \"calls\": %llu, "
-                 "\"arg_bytes\": %zu, \"pipeline\": %zu,\n",
-                 static_cast<unsigned long long>(Opt.Calls), Opt.ArgBytes,
-                 Opt.Pipeline);
-    writeJson(F, "rpc", Rpc, ",");
-    writeJson(F, "stream", Stream, "}");
-    std::fclose(F);
     std::printf("wrote %s\n", Opt.Out.c_str());
   }
   return 0;

@@ -23,6 +23,7 @@
 #include "promises/apps/KvStore.h"
 #include "promises/net/UdpNetwork.h"
 #include "promises/runtime/RemoteHandler.h"
+#include "promises/support/BenchRecord.h"
 
 #include <algorithm>
 #include <chrono>
@@ -110,10 +111,12 @@ double nsSince(std::chrono::steady_clock::time_point T0) {
 
 struct RpcResult {
   double P50Ns = 0, P99Ns = 0, MeanNs = 0;
+  uint64_t Malformed = 0;
 };
 
 struct StreamResult {
   double CallsPerSec = 0, NsPerCall = 0;
+  uint64_t Malformed = 0;
 };
 
 /// One harness per measurement: a fresh Simulation and UdpNetwork so the
@@ -130,22 +133,19 @@ struct Harness {
         Kv(apps::installKvStore(
             Server, apps::KvStoreConfig{.ServiceTime = ServiceTime})) {}
 
-  /// Zero-tolerance integrity check: loopback must be clean.
-  void checkClean(const char *What, size_t Expected, size_t Got) {
-    if (Got != Expected) {
-      std::fprintf(stderr, "error: %s completed %zu/%zu calls\n", What, Got,
-                   Expected);
-      std::exit(1);
-    }
-    uint64_t Malformed = Server.transport().counters().MalformedDropped +
-                         Client.transport().counters().MalformedDropped;
-    if (Malformed != 0 || Net.unknownSourceDrops() != 0) {
+  /// Every call must complete and every datagram come from a known
+  /// peer. Returns the malformed frames both ends dropped, which the
+  /// record carries and its gate holds at zero.
+  uint64_t checkClean(const char *What, size_t Expected, size_t Got) {
+    if (Got != Expected || Net.unknownSourceDrops() != 0) {
       std::fprintf(stderr,
-                   "error: %s saw %" PRIu64 " malformed, %" PRIu64
+                   "error: %s completed %zu/%zu calls, %" PRIu64
                    " unknown-source drops on loopback\n",
-                   What, Malformed, Net.unknownSourceDrops());
+                   What, Got, Expected, Net.unknownSourceDrops());
       std::exit(1);
     }
+    return Server.transport().counters().MalformedDropped +
+           Client.transport().counters().MalformedDropped;
   }
 };
 
@@ -170,10 +170,10 @@ RpcResult runRpcLatency(const Options &O) {
     }
   });
   H.S.run();
-  H.checkClean("rpc", O.RpcCalls, Done);
+  RpcResult R;
+  R.Malformed = H.checkClean("rpc", O.RpcCalls, Done);
 
   std::sort(Ns.begin(), Ns.end());
-  RpcResult R;
   R.P50Ns = Ns[Ns.size() / 2];
   R.P99Ns = Ns[std::min(Ns.size() - 1, Ns.size() * 99 / 100)];
   double Sum = 0;
@@ -204,29 +204,32 @@ StreamResult runStreamThroughput(const Options &O) {
     Secs = nsSince(T0) / 1e9;
   });
   H.S.run();
-  H.checkClean("stream", O.StreamCalls, Done);
-
   StreamResult R;
+  R.Malformed = H.checkClean("stream", O.StreamCalls, Done);
   R.CallsPerSec = static_cast<double>(Done) / Secs;
   R.NsPerCall = Secs * 1e9 / static_cast<double>(Done);
   return R;
 }
 
-std::string jsonRecord(const Options &O, const RpcResult &Rpc,
-                       const StreamResult &Stream) {
-  char Buf[768];
-  std::snprintf(
-      Buf, sizeof(Buf),
-      "{\"bench\": \"bench_netpath\", \"pr\": 8, \"net\": \"udp-loopback\", "
-      "\"payload_bytes\": %zu,\n"
-      " \"rpc\": {\"calls\": %zu, \"p50_ns\": %.0f, \"p99_ns\": %.0f, "
-      "\"mean_ns\": %.0f},\n"
-      " \"stream\": {\"calls\": %zu, \"calls_per_s\": %.0f, "
-      "\"ns_per_call\": %.1f},\n"
-      " \"malformed_dropped\": 0}\n",
-      O.PayloadBytes, O.RpcCalls, Rpc.P50Ns, Rpc.P99Ns, Rpc.MeanNs,
-      O.StreamCalls, Stream.CallsPerSec, Stream.NsPerCall);
-  return Buf;
+BenchRecord record(const Options &O, const RpcResult &Rpc,
+                   const StreamResult &Stream) {
+  BenchRecord Rec("bench_netpath", 8);
+  Rec.label("net", "udp-loopback");
+  Rec.count("payload_bytes", "bytes", O.PayloadBytes);
+  Rec.count("rpc.calls", "count", O.RpcCalls);
+  Rec.metric("rpc.p50_ns", "ns", MetricKind::Wall, Rpc.P50Ns, 0,
+             Gate::maxRatio(2));
+  Rec.metric("rpc.p99_ns", "ns", MetricKind::Wall, Rpc.P99Ns, 0,
+             Gate::maxRatio(2));
+  Rec.metric("rpc.mean_ns", "ns", MetricKind::Wall, Rpc.MeanNs, 0);
+  Rec.count("stream.calls", "count", O.StreamCalls);
+  Rec.metric("stream.calls_per_s", "1/s", MetricKind::Wall,
+             Stream.CallsPerSec, 0, Gate::minRatio(0.5));
+  Rec.metric("stream.ns_per_call", "ns", MetricKind::Wall, Stream.NsPerCall,
+             1);
+  Rec.count("malformed_dropped", "count", Rpc.Malformed + Stream.Malformed,
+            Gate::max(0));
+  return Rec;
 }
 
 } // namespace
@@ -244,16 +247,9 @@ int main(int Argc, char **Argv) {
   std::fprintf(stderr, "BM_StreamThroughput %zu calls...\n", O.StreamCalls);
   StreamResult Stream = runStreamThroughput(O);
 
-  std::string Json = jsonRecord(O, Rpc, Stream);
-  std::fputs(Json.c_str(), stdout);
-  if (!O.Out.empty()) {
-    FILE *F = std::fopen(O.Out.c_str(), "w");
-    if (!F) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.Out.c_str());
-      return 1;
-    }
-    std::fputs(Json.c_str(), F);
-    std::fclose(F);
-  }
+  BenchRecord Rec = record(O, Rpc, Stream);
+  std::fputs(Rec.json().c_str(), stdout);
+  if (!O.Out.empty() && !Rec.write(O.Out))
+    return 1;
   return 0;
 }

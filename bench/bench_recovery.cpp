@@ -28,6 +28,7 @@
 #include "promises/apps/KvStore.h"
 #include "promises/runtime/RemoteHandler.h"
 #include "promises/storage/Storage.h"
+#include "promises/support/BenchRecord.h"
 #include "promises/support/StrUtil.h"
 #include "promises/wire/Encoder.h"
 
@@ -261,31 +262,28 @@ int main(int Argc, char **Argv) {
       R100.WallMs > 0 ? static_cast<double>(R100.Records) /
                             (R100.WallMs / 1e3)
                       : 0;
-  std::string Json = strprintf(
-      "{\"bench\": \"bench_recovery\", \"pr\": 10,\n"
-      " \"put_volatile\": {\"virtual_ns\": %.0f, \"wall_ns\": %.0f},\n"
-      " \"put_durable\": {\"virtual_ns\": %.0f, \"wall_ns\": %.0f},\n"
-      " \"wal_overhead_virtual_ns\": %.0f,\n"
-      " \"append_wall_ns\": %.1f,\n"
-      " \"recovery\": [{\"records\": %zu, \"wall_ms\": %.2f}, "
-      "{\"records\": %zu, \"wall_ms\": %.2f}, "
-      "{\"records\": %zu, \"wall_ms\": %.2f}],\n"
-      " \"replay_records_per_s\": %.0f,\n"
-      " \"replay_complete\": %s, \"torn_detected\": %s}\n",
-      Volatile.VirtualNs, Volatile.WallNs, Durable.VirtualNs,
-      Durable.WallNs, Durable.VirtualNs - Volatile.VirtualNs, AppendNs,
-      R1.Records, R1.WallMs, R10.Records, R10.WallMs, R100.Records,
-      R100.WallMs, RecPerSec, Complete ? "true" : "false",
-      Torn ? "true" : "false");
-  std::fputs(Json.c_str(), stdout);
-  if (!O.Out.empty()) {
-    FILE *F = std::fopen(O.Out.c_str(), "w");
-    if (!F) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.Out.c_str());
-      return 1;
-    }
-    std::fputs(Json.c_str(), F);
-    std::fclose(F);
-  }
+  BenchRecord Rec("bench_recovery", 10);
+  Rec.metric("put_volatile.virtual_ns", "ns", MetricKind::Virtual,
+             Volatile.VirtualNs, 0);
+  Rec.metric("put_volatile.wall_ns", "ns", MetricKind::Wall, Volatile.WallNs,
+             0);
+  Rec.metric("put_durable.virtual_ns", "ns", MetricKind::Virtual,
+             Durable.VirtualNs, 0);
+  Rec.metric("put_durable.wall_ns", "ns", MetricKind::Wall, Durable.WallNs,
+             0);
+  Rec.metric("wal_overhead_virtual_ns", "ns", MetricKind::Virtual,
+             Durable.VirtualNs - Volatile.VirtualNs, 0, Gate::maxRatio(1.25));
+  Rec.metric("append_wall_ns", "ns", MetricKind::Wall, AppendNs, 1,
+             Gate::maxRatio(3));
+  for (const RecoveryPoint *R : {&R1, &R10, &R100}) // Gate the longest.
+    Rec.metric(strprintf("recovery.%zu_records.wall_ms", R->Records), "ms",
+               MetricKind::Wall, R->WallMs, 2,
+               R == &R100 ? Gate::maxRatio(3) : Gate());
+  Rec.metric("replay_records_per_s", "1/s", MetricKind::Wall, RecPerSec, 0);
+  Rec.flag("replay_complete", MetricKind::Exact, Complete, Gate::equals(true));
+  Rec.flag("torn_detected", MetricKind::Exact, Torn, Gate::equals(true));
+  std::fputs(Rec.json().c_str(), stdout);
+  if (!O.Out.empty() && !Rec.write(O.Out))
+    return 1;
   return Complete && Torn ? 0 : 1;
 }

@@ -17,13 +17,15 @@
 //                      the ready set looks like a real simulation's, not a
 //                      single warm ping-pong pair.
 //
-// Writes the repo's first BENCH_*.json trajectory point:
+// Writes the BENCH_6 record (support/BenchRecord.h). Its gates are per
+// process, so a smaller run can be checked against the 1M-process point:
 //
 //   bench_spawn_scale --procs 1000000 --out BENCH_6.json
 //
 //===----------------------------------------------------------------------===//
 
 #include "promises/sim/Simulation.h"
+#include "promises/support/BenchRecord.h"
 
 #include <algorithm>
 #include <chrono>
@@ -191,24 +193,36 @@ double runSwitchRoundRobin(BackendKind K, size_t Procs, size_t TotalIters) {
   return Secs * 1e9 / static_cast<double>(S.contextSwitches());
 }
 
-std::string jsonRecord(const Options &O, const SpawnResult &FiberSpawn,
-                       const SpawnResult &ThreadSpawn, double FiberSwitchNs,
-                       double ThreadSwitchNs, size_t PeakRssBytes) {
-  char Buf[1024];
-  std::snprintf(
-      Buf, sizeof(Buf),
-      "{\"bench\": \"BM_SpawnScale\", \"pr\": 6, \"switch_procs\": %zu,\n"
-      " \"fiber\": {\"procs\": %zu, \"spawn_per_s\": %.0f, "
-      "\"max_live_procs\": %zu, \"rss_bytes\": %zu, \"switch_ns\": %.1f, "
-      "\"switch_iters\": %zu},\n"
-      " \"thread\": {\"procs\": %zu, \"spawn_per_s\": %.0f, "
-      "\"switch_ns\": %.1f, \"switch_iters\": %zu},\n"
-      " \"switch_speedup\": %.1f, \"peak_rss_bytes\": %zu}\n",
-      O.SwitchProcs, O.Procs, FiberSpawn.SpawnPerSec, FiberSpawn.MaxLive,
-      FiberSpawn.RssDeltaBytes, FiberSwitchNs, O.SwitchIters, O.ThreadProcs,
-      ThreadSpawn.SpawnPerSec, ThreadSwitchNs, O.ThreadSwitchIters,
-      ThreadSwitchNs / FiberSwitchNs, PeakRssBytes);
-  return Buf;
+BenchRecord record(const Options &O, const SpawnResult &FiberSpawn,
+                   const SpawnResult &ThreadSpawn, double FiberSwitchNs,
+                   double ThreadSwitchNs, size_t PeakRssBytes) {
+  BenchRecord Rec("BM_SpawnScale", 6);
+  Rec.count("switch_procs", "count", O.SwitchProcs);
+  Rec.count("fiber.procs", "count", O.Procs);
+  Rec.metric("fiber.spawn_per_s", "1/s", MetricKind::Wall,
+             FiberSpawn.SpawnPerSec, 0, Gate::minRatio(0.5));
+  Rec.count("fiber.max_live_procs", "count", FiberSpawn.MaxLive);
+  Rec.flag("fiber.all_procs_live", MetricKind::Exact,
+           FiberSpawn.MaxLive == O.Procs, Gate::equals(true));
+  Rec.metric("fiber.rss_bytes", "bytes", MetricKind::Wall,
+             static_cast<double>(FiberSpawn.RssDeltaBytes), 0);
+  Rec.metric("fiber.rss_bytes_per_proc", "bytes", MetricKind::Wall,
+             static_cast<double>(FiberSpawn.RssDeltaBytes) /
+                 static_cast<double>(O.Procs),
+             1, Gate::maxRatio(1.25));
+  Rec.metric("fiber.switch_ns", "ns", MetricKind::Wall, FiberSwitchNs, 1,
+             Gate::maxRatio(2));
+  Rec.count("fiber.switch_iters", "count", O.SwitchIters);
+  Rec.count("thread.procs", "count", O.ThreadProcs);
+  Rec.metric("thread.spawn_per_s", "1/s", MetricKind::Wall,
+             ThreadSpawn.SpawnPerSec, 0);
+  Rec.metric("thread.switch_ns", "ns", MetricKind::Wall, ThreadSwitchNs, 1);
+  Rec.count("thread.switch_iters", "count", O.ThreadSwitchIters);
+  Rec.metric("switch_speedup", "x", MetricKind::Wall,
+             ThreadSwitchNs / FiberSwitchNs, 1);
+  Rec.metric("peak_rss_bytes", "bytes", MetricKind::Wall,
+             static_cast<double>(PeakRssBytes), 0);
+  return Rec;
 }
 
 } // namespace
@@ -240,17 +254,10 @@ int main(int Argc, char **Argv) {
   getrusage(RUSAGE_SELF, &RU);
   size_t PeakRss = static_cast<size_t>(RU.ru_maxrss) * 1024; // KB on Linux.
 
-  std::string Json = jsonRecord(O, FiberSpawn, ThreadSpawn, FiberSwitchNs,
-                                ThreadSwitchNs, PeakRss);
-  std::fputs(Json.c_str(), stdout);
-  if (!O.Out.empty()) {
-    FILE *F = std::fopen(O.Out.c_str(), "w");
-    if (!F) {
-      std::fprintf(stderr, "error: cannot write %s\n", O.Out.c_str());
-      return 1;
-    }
-    std::fputs(Json.c_str(), F);
-    std::fclose(F);
-  }
+  BenchRecord Rec = record(O, FiberSpawn, ThreadSpawn, FiberSwitchNs,
+                           ThreadSwitchNs, PeakRss);
+  std::fputs(Rec.json().c_str(), stdout);
+  if (!O.Out.empty() && !Rec.write(O.Out))
+    return 1;
   return 0;
 }

@@ -77,14 +77,11 @@ struct TxnKvConfig {
   size_t SnapshotEvery = 128;
   /// One status probe against the coordinator owning \p Gtid. Returns
   /// TwoPhaseCoordinatorKit::Status (0 aborted, 1 committed, 2 still in
-  /// flight) or -1 when unreachable; in-flight/unreachable answers are
-  /// retried. Unset leaves prepared transactions blocked (the classic
-  /// hole) — durable participants should always wire one.
+  /// flight) or -1 when unreachable. A prepared transaction starts
+  /// probing 40 ms after its vote and retries in-flight/unreachable
+  /// answers every 10 ms. Unset leaves prepared transactions blocked (the
+  /// classic hole) — durable participants should always wire one.
   std::function<int(uint64_t Gtid)> QueryStatus;
-  /// How long a prepared transaction waits for its decision before the
-  /// participant starts asking the coordinator itself (then every 10 ms
-  /// while the answer is in-flight/unreachable).
-  sim::Time ResolveAfter = sim::msec(40);
 };
 
 /// The participant: a key-value store with staged, locked transactions.

@@ -110,27 +110,26 @@ bool outcomeToWire(const core::Outcome<Ret, Exs...> &O,
   return Ok;
 }
 
+/// Decodes the arguments of declared exception \p E.
+template <typename OutcomeT, typename E>
+OutcomeT decodeOneException(const wire::Bytes &Payload) {
+  std::string Why;
+  auto Dec = wire::decodeFromBytes<E>(Payload, &Why);
+  if (Dec)
+    return OutcomeT(std::move(*Dec));
+  return OutcomeT(core::Failure{"could not decode: " + Why});
+}
+
 /// Decodes a declared exception selected by \p Tag.
 template <typename OutcomeT, core::ExceptionType... Exs>
 OutcomeT decodeExceptionOutcome(uint32_t Tag, const wire::Bytes &Payload) {
-  OutcomeT Result{core::Failure{"unknown exception tag"}};
-  uint32_t I = 0;
-  bool Found = false;
-  (
-      [&] {
-        if (!Found && I == Tag) {
-          Found = true;
-          std::string Why;
-          auto Dec = wire::decodeFromBytes<Exs>(Payload, &Why);
-          if (Dec)
-            Result = OutcomeT(std::move(*Dec));
-          else
-            Result = OutcomeT(core::Failure{"could not decode: " + Why});
-        }
-        ++I;
-      }(),
-      ...);
-  return Result;
+  if constexpr (sizeof...(Exs) != 0) {
+    using Decoder = OutcomeT (*)(const wire::Bytes &);
+    constexpr Decoder Decoders[] = {&decodeOneException<OutcomeT, Exs>...};
+    if (Tag < sizeof...(Exs))
+      return Decoders[Tag](Payload);
+  }
+  return OutcomeT{core::Failure{"unknown exception tag"}};
 }
 
 /// Converts a wire-level reply into the caller's typed outcome (paper,

@@ -113,15 +113,14 @@ struct StreamConfig {
   bool FrameChecksums = true;
 };
 
-/// Next retransmission timeout after an unproductive round: Cur * Factor,
+/// Next retransmission timeout after an unproductive round: Cur doubled,
 /// saturated at Cap (and never below Cur). The product is compared against
 /// the cap while still a double: after ~40 doublings of a 20ms base it
 /// exceeds what uint64_t nanoseconds can hold, and casting such a value is
 /// undefined behavior — in practice it wrapped to a tiny RTO, turning a
-/// long-partitioned endpoint into a retransmit storm. Factors below 1 (and
-/// NaN) are treated as 1.
-inline sim::Time backoffRto(sim::Time Cur, double Factor, sim::Time Cap) {
-  double Next = static_cast<double>(Cur) * std::max(1.0, Factor);
+/// long-partitioned endpoint into a retransmit storm.
+inline sim::Time backoffRto(sim::Time Cur, sim::Time Cap) {
+  double Next = static_cast<double>(Cur) * 2.0;
   if (!(Next < static_cast<double>(Cap)))
     return Cap;
   return static_cast<sim::Time>(Next);

@@ -24,6 +24,9 @@ constexpr uint8_t RecAbort = 3;
 constexpr uint8_t RecIncarnation = 1;
 constexpr uint8_t RecDecidedCommit = 2;
 
+// How long a prepared transaction waits for its decision before the
+// participant starts asking the coordinator itself.
+constexpr sim::Time ResolveAfter = sim::msec(40);
 // Backoff between status probes that answered in-flight/unreachable.
 constexpr sim::Time StatusProbeBackoff = sim::msec(10);
 
@@ -306,7 +309,7 @@ TxnKv apps::installTxnKv(Guardian &G, TxnKvConfig Cfg) {
 
   K.Prepare = G.addHandler<bool(uint32_t, uint64_t), NoSuchTxn>(
       "t_prepare",
-      [St, Work, Wal, Log, ArmResolver, After = Cfg.ResolveAfter](
+      [St, Work, Wal, Log, ArmResolver](
           uint32_t Txn, uint64_t Gtid) -> Outcome<bool, NoSuchTxn> {
         Work();
         auto TIt = St->Txns.find(Txn);
@@ -325,7 +328,7 @@ TxnKv apps::installTxnKv(Guardian &G, TxnKvConfig Cfg) {
           E.writeU64(Gtid);
           writeStringMap(E, T.Staged);
         });
-        ArmResolver(Txn, Gtid, After);
+        ArmResolver(Txn, Gtid, ResolveAfter);
         return true;
       });
 

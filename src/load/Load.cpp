@@ -986,34 +986,42 @@ std::string LoadReport::summary() const {
          Dur;
 }
 
-std::string load::benchJson(const LoadOptions &O, const LoadReport &R) {
-  std::string Tenants;
+BenchRecord load::benchRecord(const LoadOptions &O, const LoadReport &R) {
+  BenchRecord Rec("bench_overload", 9);
+  Rec.label("scenario", O.Scenario.Name);
+  Rec.count("seed", "count", O.Seed);
+  Rec.label("backend", sim::SimConfig::backendName(O.Backend));
+  Rec.metric("capacity_cps", "1/s", MetricKind::Virtual, R.CapacityCps, 1);
+  Rec.metric("base_goodput_cps", "1/s", MetricKind::Virtual,
+             R.BaseGoodputCps, 1);
+  Rec.metric("overload_goodput_cps", "1/s", MetricKind::Virtual,
+             R.OverGoodputCps, 1, Gate::minRatio(0.8));
+  Rec.metric("goodput_ratio", "ratio", MetricKind::Virtual, R.GoodputRatio, 4,
+             Gate::min(O.Scenario.GoodputFloor));
+  Rec.metric("goodput_floor", "ratio", MetricKind::Exact,
+             O.Scenario.GoodputFloor, 4);
+  Rec.metric("p50_us", "us", MetricKind::Virtual, R.P50Us, 1);
+  Rec.metric("p99_us", "us", MetricKind::Virtual, R.P99Us, 1,
+             Gate::maxRatio(1.5));
+  Rec.metric("p999_us", "us", MetricKind::Virtual, R.P999Us, 1,
+             Gate::maxRatio(1.5));
+  Rec.count("offered", "count", R.Offered);
+  Rec.count("normal", "count", R.Normal);
+  Rec.count("shed", "count", R.Shed);
+  Rec.count("retries", "count", R.Retries);
+  Rec.count("battery_violations", "count", R.Violations.size(), Gate::max(0));
   for (const TenantReport &T : R.Tenants) {
-    if (!Tenants.empty())
-      Tenants += ", ";
-    Tenants += strprintf(
-        "{\"name\": \"%s\", \"offered\": %llu, \"normal\": %llu, "
-        "\"shed\": %llu, \"goodput_cps\": %.1f, \"p50_us\": %.1f, "
-        "\"p99_us\": %.1f, \"p999_us\": %.1f, \"slo_checked\": %s, "
-        "\"slo_ok\": %s}",
-        T.Name.c_str(), (unsigned long long)T.Offered,
-        (unsigned long long)T.Normal, (unsigned long long)T.Shed,
-        T.GoodputCps, T.P50Us, T.P99Us, T.P999Us,
-        T.SloChecked ? "true" : "false", T.SloOk ? "true" : "false");
+    std::string P = "tenant." + T.Name + ".";
+    Rec.count(P + "offered", "count", T.Offered);
+    Rec.count(P + "normal", "count", T.Normal);
+    Rec.count(P + "shed", "count", T.Shed);
+    Rec.metric(P + "goodput_cps", "1/s", MetricKind::Virtual, T.GoodputCps, 1);
+    Rec.metric(P + "p50_us", "us", MetricKind::Virtual, T.P50Us, 1);
+    Rec.metric(P + "p99_us", "us", MetricKind::Virtual, T.P99Us, 1);
+    Rec.metric(P + "p999_us", "us", MetricKind::Virtual, T.P999Us, 1);
+    Rec.flag(P + "slo_checked", MetricKind::Exact, T.SloChecked);
+    Rec.flag(P + "slo_ok", MetricKind::Virtual, T.SloOk,
+             T.SloChecked ? Gate::equals(true) : Gate());
   }
-  return strprintf(
-      "{\"bench\": \"bench_overload\", \"scenario\": \"%s\", "
-      "\"seed\": %llu, \"backend\": \"%s\", \"capacity_cps\": %.1f, "
-      "\"base_goodput_cps\": %.1f, \"overload_goodput_cps\": %.1f, "
-      "\"goodput_ratio\": %.4f, \"goodput_floor\": %.4f, "
-      "\"p50_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f, "
-      "\"offered\": %llu, \"normal\": %llu, \"shed\": %llu, "
-      "\"retries\": %llu, \"battery_violations\": %zu, \"tenants\": [%s]}",
-      O.Scenario.Name.c_str(), static_cast<unsigned long long>(O.Seed),
-      sim::SimConfig::backendName(O.Backend), R.CapacityCps,
-      R.BaseGoodputCps, R.OverGoodputCps, R.GoodputRatio,
-      O.Scenario.GoodputFloor, R.P50Us, R.P99Us, R.P999Us,
-      (unsigned long long)R.Offered, (unsigned long long)R.Normal,
-      (unsigned long long)R.Shed, (unsigned long long)R.Retries,
-      R.Violations.size(), Tenants.c_str());
+  return Rec;
 }

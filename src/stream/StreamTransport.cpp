@@ -709,8 +709,6 @@ void StreamTransport::retransmitWindow(SenderStream &S) {
 }
 
 namespace {
-/// Every unproductive retransmit round multiplies the timeout by this.
-constexpr double RtoBackoffFactor = 2.0;
 /// Each retransmit firing waits up to this fraction of its timeout more.
 constexpr double RtoJitterFraction = 0.1;
 } // namespace
@@ -778,7 +776,7 @@ void StreamTransport::onSenderRetransTimer(SenderStream &S) {
   // An unproductive round: back off before the next firing, up to the cap.
   sim::Time Cap = std::max(Cfg.RetransmitTimeoutMax, Cfg.RetransmitTimeout);
   sim::Time Cur = S.CurrentRto ? S.CurrentRto : Cfg.RetransmitTimeout;
-  S.CurrentRto = backoffRto(Cur, RtoBackoffFactor, Cap);
+  S.CurrentRto = backoffRto(Cur, Cap);
   armSenderRetransTimer(S);
 }
 

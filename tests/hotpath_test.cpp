@@ -18,8 +18,9 @@
 //  * End-to-end allocation budget: a full call round trip stays under an
 //    allocation ceiling (the bench's machine-independent companion).
 //
-// This binary installs a global operator-new hook, so it holds every test
-// that counts allocations; keep hook-free tests in the other suites.
+// This binary installs a global operator-new hook (AllocHook.cpp), so it
+// holds every test that counts allocations; keep hook-free tests in the
+// other suites.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,41 +32,11 @@
 #include "promises/stream/StreamTransport.h"
 #include "promises/wire/Frame.h"
 
+#include "AllocHook.h"
+
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 using namespace promises;
-
-//===----------------------------------------------------------------------===//
-// Allocation counting hook
-//===----------------------------------------------------------------------===//
-
-static std::atomic<uint64_t> GAllocs{0};
-/// Allocations of at least LargeAllocBytes: promise slabs of a 1 KiB
-/// value type, and nothing else the tests below make.
-static std::atomic<uint64_t> GLargeAllocs{0};
-static constexpr std::size_t LargeAllocBytes = 64 * 1024;
-
-void *operator new(std::size_t N) {
-  GAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (N >= LargeAllocBytes)
-    GLargeAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(N ? N : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t N) { return ::operator new(N); }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
-
-static uint64_t allocCount() {
-  return GAllocs.load(std::memory_order_relaxed);
-}
 
 //===----------------------------------------------------------------------===//
 // SeqRing
@@ -369,7 +340,7 @@ TEST(PromiseSlab, ThreadBackendProcessesShareOneFreelist) {
   sim::SimConfig Cfg;
   Cfg.Backend = sim::BackendKind::Thread;
   sim::Simulation Sim(Cfg);
-  uint64_t Before = GLargeAllocs.load();
+  uint64_t Before = largeAllocCount();
   constexpr int Procs = 24;
   int Claimed = 0;
   for (int I = 0; I != Procs; ++I)
@@ -381,7 +352,7 @@ TEST(PromiseSlab, ThreadBackendProcessesShareOneFreelist) {
     });
   Sim.run();
   EXPECT_EQ(Claimed, Procs);
-  EXPECT_LE(GLargeAllocs.load() - Before, 1u)
+  EXPECT_LE(largeAllocCount() - Before, 1u)
       << "each process thread took a slab of its own";
 }
 

@@ -177,11 +177,19 @@ TEST(LoadDeterminism, ReplayCommandNamesTheRun) {
 TEST(LoadBench, JsonCarriesTheGate) {
   LoadOptions O = optionsFor("storm");
   LoadReport R = runLoad(O);
-  std::string J = benchJson(O, R);
+  std::string J = benchRecord(O, R).json();
   EXPECT_NE(J.find("\"bench\": \"bench_overload\""), std::string::npos) << J;
-  EXPECT_NE(J.find("\"goodput_ratio\""), std::string::npos);
-  EXPECT_NE(J.find("\"battery_violations\": 0"), std::string::npos) << J;
-  EXPECT_NE(J.find("\"tenants\": ["), std::string::npos);
+  EXPECT_NE(J.find("{\"name\": \"goodput_ratio\", \"unit\": \"ratio\", "
+                   "\"kind\": \"virtual\""),
+            std::string::npos)
+      << J;
+  EXPECT_NE(J.find("\"gate\": {\"min\": 0.7}"), std::string::npos) << J;
+  EXPECT_NE(J.find("{\"name\": \"battery_violations\", \"unit\": \"count\", "
+                   "\"kind\": \"exact\", \"value\": 0, \"baseline\": null, "
+                   "\"gate\": {\"max\": 0}}"),
+            std::string::npos)
+      << J;
+  EXPECT_NE(J.find("\"name\": \"tenant.web.slo_ok\""), std::string::npos) << J;
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -709,20 +708,14 @@ TEST_F(StreamFixture, ManyCallsLargeScaleStress) {
 //===----------------------------------------------------------------------===//
 
 TEST(RtoBackoff, DoublesBelowTheCap) {
-  EXPECT_EQ(backoffRto(msec(20), 2.0, msec(160)), msec(40));
-  EXPECT_EQ(backoffRto(msec(40), 2.0, msec(160)), msec(80));
-  EXPECT_EQ(backoffRto(msec(80), 2.0, msec(160)), msec(160));
+  EXPECT_EQ(backoffRto(msec(20), msec(160)), msec(40));
+  EXPECT_EQ(backoffRto(msec(40), msec(160)), msec(80));
+  EXPECT_EQ(backoffRto(msec(80), msec(160)), msec(160));
 }
 
 TEST(RtoBackoff, SaturatesAtTheCap) {
-  EXPECT_EQ(backoffRto(msec(160), 2.0, msec(160)), msec(160));
-  EXPECT_EQ(backoffRto(msec(200), 2.0, msec(160)), msec(160));
-}
-
-TEST(RtoBackoff, FactorBelowOneAndNanAreClampedToOne) {
-  EXPECT_EQ(backoffRto(msec(20), 0.5, msec(160)), msec(20));
-  EXPECT_EQ(backoffRto(msec(20), 0.0, msec(160)), msec(20));
-  EXPECT_EQ(backoffRto(msec(20), std::nan(""), msec(160)), msec(20));
+  EXPECT_EQ(backoffRto(msec(160), msec(160)), msec(160));
+  EXPECT_EQ(backoffRto(msec(200), msec(160)), msec(160));
 }
 
 TEST(RtoBackoff, SaturatesInsteadOfWrappingAtTheOverflowBoundary) {
@@ -734,7 +727,7 @@ TEST(RtoBackoff, SaturatesInsteadOfWrappingAtTheOverflowBoundary) {
   const Time HugeCap = UINT64_MAX - 1024;
   Time Rto = msec(20);
   for (int I = 0; I != 64; ++I) {
-    Time Next = backoffRto(Rto, 2.0, HugeCap);
+    Time Next = backoffRto(Rto, HugeCap);
     EXPECT_GE(Next, Rto) << "backoff went backwards after " << I
                          << " rounds (wrapped)";
     Rto = Next;
@@ -742,8 +735,8 @@ TEST(RtoBackoff, SaturatesInsteadOfWrappingAtTheOverflowBoundary) {
   EXPECT_EQ(Rto, HugeCap);
   // At the boundary itself: Cur just below 2^63, doubling crosses 2^64.
   Time NearHalf = (UINT64_MAX / 2) + 1;
-  EXPECT_EQ(backoffRto(NearHalf, 2.0, HugeCap), HugeCap);
-  EXPECT_EQ(backoffRto(UINT64_MAX, 2.0, UINT64_MAX), UINT64_MAX);
+  EXPECT_EQ(backoffRto(NearHalf, HugeCap), HugeCap);
+  EXPECT_EQ(backoffRto(UINT64_MAX, UINT64_MAX), UINT64_MAX);
 }
 
 } // namespace

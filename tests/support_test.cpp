@@ -4,11 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "promises/support/BenchRecord.h"
 #include "promises/support/Rng.h"
 #include "promises/support/StrUtil.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 using namespace promises;
@@ -117,6 +119,39 @@ TEST(StrUtil, Strprintf) {
   EXPECT_EQ(strprintf("%s", ""), "");
   std::string Big(300, 'a');
   EXPECT_EQ(strprintf("%s", Big.c_str()), Big);
+}
+
+TEST(BenchRecord, WritesTheEnvelope) {
+  BenchRecord Rec("bench_x", 3);
+  Rec.metric("a.ns", "ns", MetricKind::Wall, 12.345, 1, Gate::maxRatio(1.25));
+  Rec.count("drops", "count", 0, Gate::max(0));
+  Rec.flag("ok", MetricKind::Exact, true, Gate::equals(true));
+  Rec.label("who", "a \"b\"");
+  std::string J = Rec.json();
+  EXPECT_EQ(J.rfind("{\"bench\": \"bench_x\", \"pr\": 3, \"machine\": \"", 0),
+            0u)
+      << J;
+  EXPECT_NE(J.find("{\"name\": \"a.ns\", \"unit\": \"ns\", \"kind\": \"wall\", "
+                   "\"value\": 12.3, \"baseline\": null, "
+                   "\"gate\": {\"max_ratio\": 1.25}}"),
+            std::string::npos)
+      << J;
+  EXPECT_NE(J.find("\"value\": 0, \"baseline\": null, \"gate\": {\"max\": 0}"),
+            std::string::npos);
+  EXPECT_NE(J.find("\"value\": true, \"baseline\": null, "
+                   "\"gate\": {\"equals\": true}"),
+            std::string::npos);
+  EXPECT_NE(J.find("\"unit\": \"label\", \"kind\": \"exact\", "
+                   "\"value\": \"a \\\"b\\\"\", \"baseline\": null, \"gate\": null"),
+            std::string::npos)
+      << J;
+  EXPECT_EQ(J.substr(J.size() - 3), "]}\n");
+}
+
+TEST(BenchRecord, NonFiniteValuesAreNull) {
+  BenchRecord Rec("bench_x", 3);
+  Rec.metric("r", "ratio", MetricKind::Virtual, std::nan(""), 2);
+  EXPECT_NE(Rec.json().find("\"value\": null"), std::string::npos);
 }
 
 } // namespace

@@ -226,15 +226,9 @@ int main(int Argc, char **Argv) {
                   Sc->Name.c_str(), R.summary().c_str());
     }
 
-    if (S == O.Seed && !O.BenchOut.empty()) {
-      std::FILE *F = std::fopen(O.BenchOut.c_str(), "w");
-      if (!F) {
-        std::fprintf(stderr, "error: cannot write %s\n", O.BenchOut.c_str());
-        return 2;
-      }
-      std::fprintf(F, "%s\n", benchJson(LO, R).c_str());
-      std::fclose(F);
-    }
+    if (S == O.Seed && !O.BenchOut.empty() &&
+        !benchRecord(LO, R).write(O.BenchOut))
+      return 2;
   }
 
   std::printf("%llu/%llu seeds ok [%s]\n",
