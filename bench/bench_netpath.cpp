@@ -1,4 +1,4 @@
-//===- bench_netpath.cpp - UDP loopback data-plane bench (BENCH_8) --------===//
+//===- bench_netpath.cpp - UDP loopback data-plane bench (BENCH_18) -------===//
 //
 // Part of the promises project (PLDI 1988 reproduction).
 //
@@ -16,7 +16,7 @@
 // Bespoke wall-clock driver (no google-benchmark: the interesting numbers
 // are percentiles over individual round trips, not iteration averages).
 //
-//   bench_netpath --rpc-calls 2000 --stream-calls 20000 --out BENCH_8.json
+//   bench_netpath --rpc-calls 2000 --stream-calls 20000 --out BENCH_18.json
 //
 //===----------------------------------------------------------------------===//
 
@@ -213,14 +213,17 @@ StreamResult runStreamThroughput(const Options &O) {
 
 BenchRecord record(const Options &O, const RpcResult &Rpc,
                    const StreamResult &Stream) {
-  BenchRecord Rec("bench_netpath", 8);
+  BenchRecord Rec("bench_netpath", 18);
   Rec.label("net", "udp-loopback");
   Rec.count("payload_bytes", "bytes", O.PayloadBytes);
   Rec.count("rpc.calls", "count", O.RpcCalls);
+  // 3x a ~15 us round trip is still well below the ~80 us of a build that
+  // waits out the modelled encode cost in wall time, so such a wait
+  // cannot come back unnoticed.
   Rec.metric("rpc.p50_ns", "ns", MetricKind::Wall, Rpc.P50Ns, 0,
-             Gate::maxRatio(2));
+             Gate::maxRatio(3));
   Rec.metric("rpc.p99_ns", "ns", MetricKind::Wall, Rpc.P99Ns, 0,
-             Gate::maxRatio(2));
+             Gate::maxRatio(3));
   Rec.metric("rpc.mean_ns", "ns", MetricKind::Wall, Rpc.MeanNs, 0);
   Rec.count("stream.calls", "count", O.StreamCalls);
   Rec.metric("stream.calls_per_s", "1/s", MetricKind::Wall,

@@ -215,6 +215,11 @@ private:
     }
   };
 
+  // Layout budget, pinned at today's size: beyond its value, a state is
+  // the engaged-optional wait queue (40 bytes) and the refcount.
+  static_assert(sizeof(State) <= sizeof(std::optional<OutcomeType>) + 48,
+                "Promise state outgrew its budget");
+
   State *St = nullptr;
 };
 

@@ -43,7 +43,9 @@ struct GuardianConfig {
   /// Section 3, step 1: "The call message is produced by encoding the
   /// arguments" — encoding happens synchronously in the caller). This is
   /// what makes initiating many calls take time, and hence what stream
-  /// composition overlaps (Section 4).
+  /// composition overlaps (Section 4). Charged through
+  /// Simulation::chargeCpu: virtual time on the simulator, nothing under a
+  /// real clock (UdpNetwork), where the real encode already spent real CPU.
   sim::Time EncodeCpu = sim::usec(10);
   /// Admission control: when nonzero, an incoming call that would push the
   /// number of live handler-call processes (executing + gated) past this

@@ -316,7 +316,7 @@ private:
           OutcomeT(core::Unavailable{core::reasons::WoundedCaller}));
     // Encoding is synchronous caller work (paper, Section 3, step 1).
     if (sim::Simulation::inProcess() && Local->config().EncodeCpu != 0)
-      Local->simulation().sleep(Local->config().EncodeCpu);
+      Local->simulation().chargeCpu(Local->config().EncodeCpu);
     std::string Why;
     auto ArgsB =
         wire::encodeToBytes(ArgsTuple(std::forward<As>(Args)...), &Why);

@@ -330,6 +330,18 @@ public:
   /// Blocks the calling process for \p Duration of virtual time.
   void sleep(Time Duration);
 
+  /// Charges \p Duration of modelled caller CPU (e.g. argument encoding,
+  /// paper Section 3, step 1). With no clock driver installed this is
+  /// exactly sleep(Duration): the cost model's charge in virtual time.
+  /// Under a clock driver it returns at once: the real work has already
+  /// spent real CPU, and a wall-clock wait on top would only add latency.
+  /// Only for costs that stand in for the caller's own CPU; remote work,
+  /// media and workload pacing keep sleep() (docs/SIMULATOR.md).
+  void chargeCpu(Time Duration) {
+    if (!Clock)
+      sleep(Duration);
+  }
+
   /// Reschedules the calling process at the current time, letting other
   /// ready processes and events at this instant run first.
   void yieldNow();
@@ -412,6 +424,12 @@ private:
     bool Armed = false;
     bool Cancelled = false;
   };
+  // Layout budgets, pinned at today's sizes: the heap entry is three words
+  // and the record one closure plus 16 bytes of bookkeeping, so a field
+  // added to either fails here rather than as a slower event loop.
+  static_assert(sizeof(TimedEvent) == 24, "TimedEvent outgrew its budget");
+  static_assert(sizeof(EventRecord) <= sizeof(std::function<void()>) + 16,
+                "EventRecord outgrew its budget");
 
   static bool timedAfter(const TimedEvent &A, const TimedEvent &B) {
     return A.At != B.At ? A.At > B.At : A.Seq > B.Seq;

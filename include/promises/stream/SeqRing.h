@@ -143,6 +143,16 @@ private:
     T Value{};
     bool Present = false;
   };
+  // Layout budget: the presence flag costs at most one alignment unit of
+  // T (it usually lands in what would be trailing padding anyway).
+  static_assert(sizeof(Entry) <= sizeof(T) + alignof(T),
+                "SeqRing slot outgrew its budget");
+
+public:
+  /// Bytes per slot, for callers pinning their entry types' sizes.
+  static constexpr size_t SlotBytes = sizeof(Entry);
+
+private:
 
   size_t index(Seq S) const { return static_cast<size_t>(S) & Mask; }
 

@@ -142,6 +142,10 @@ struct StreamTransport::SenderStream {
   SeqRing<Slot> Slots;
   /// Explicit replies received but not yet consumable in order.
   SeqRing<WireReply> PendingReplies;
+  // Per-call slot budgets, pinned at today's sizes (LP64).
+  static_assert(SeqRing<CallReq>::SlotBytes <= 56);
+  static_assert(SeqRing<Slot>::SlotBytes <= sizeof(ReplyCallback) + 24);
+  static_assert(SeqRing<WireReply>::SlotBytes <= 80);
   size_t BufferedBytes = 0; ///< Untransmitted argument bytes.
 
   bool Broken = false;
@@ -199,6 +203,7 @@ struct StreamTransport::ReceiverStream {
   /// normally-terminated sends with no explicit reply.
   SeqRing<std::optional<WireReply>> DoneAhead;
   SeqRing<WireReply> UnackedReplies;
+  static_assert(SeqRing<std::optional<WireReply>>::SlotBytes <= 88);
   Seq FlushThrough = 0;     ///< Completions <= this flush immediately.
   Seq FlushWhenCompleted = 0; ///< RPC replies wanted as soon as the
                               ///< prefix reaches this seq.

@@ -53,9 +53,10 @@ TEST(LoadCatalogue, NamesAreUniqueAndResolvable) {
     EXPECT_EQ(Sc->Name, N);
     EXPECT_FALSE(Sc->Summary.empty());
     EXPECT_FALSE(Sc->Tenants.empty());
-    if (Sc->Chaos)
+    if (Sc->Chaos) {
       EXPECT_NE(chaos::ChaosProfile::byName(Sc->ChaosProfile), nullptr)
           << N << " runs unknown chaos profile " << Sc->ChaosProfile;
+    }
   }
   auto Sorted = Names;
   std::sort(Sorted.begin(), Sorted.end());

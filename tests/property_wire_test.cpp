@@ -27,6 +27,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 using namespace promises;
 using namespace promises::stream;
 
@@ -126,17 +129,19 @@ wire::Bytes handBuiltFrame(const Message &M, bool Checksum) {
   wire::Bytes Payload = Body.take();
   auto Len = static_cast<uint32_t>(Payload.size());
   uint32_t Crc = Checksum ? wire::crc32c(Payload) : 0;
-  wire::Bytes Frame = {0xD5,
-                       0x01,
-                       static_cast<uint8_t>(Len),
-                       static_cast<uint8_t>(Len >> 8),
-                       static_cast<uint8_t>(Len >> 16),
-                       static_cast<uint8_t>(Len >> 24),
-                       static_cast<uint8_t>(Crc),
-                       static_cast<uint8_t>(Crc >> 8),
-                       static_cast<uint8_t>(Crc >> 16),
-                       static_cast<uint8_t>(Crc >> 24)};
-  Frame.insert(Frame.end(), Payload.begin(), Payload.end());
+  const uint8_t Header[] = {0xD5,
+                            0x01,
+                            static_cast<uint8_t>(Len),
+                            static_cast<uint8_t>(Len >> 8),
+                            static_cast<uint8_t>(Len >> 16),
+                            static_cast<uint8_t>(Len >> 24),
+                            static_cast<uint8_t>(Crc),
+                            static_cast<uint8_t>(Crc >> 8),
+                            static_cast<uint8_t>(Crc >> 16),
+                            static_cast<uint8_t>(Crc >> 24)};
+  wire::Bytes Frame(sizeof(Header) + Payload.size());
+  std::copy(std::begin(Header), std::end(Header), Frame.begin());
+  std::copy(Payload.begin(), Payload.end(), Frame.begin() + sizeof(Header));
   return Frame;
 }
 

@@ -225,8 +225,9 @@ TEST_F(RuntimeFixture, PromiseReadinessIsOrderedUnderJitter) {
     // Poll: whenever promise i+1 is ready, promise i must be ready.
     while (!Ps.back().ready()) {
       for (size_t I = 0; I + 1 < Ps.size(); ++I)
-        if (Ps[I + 1].ready())
+        if (Ps[I + 1].ready()) {
           EXPECT_TRUE(Ps[I].ready()) << "readiness order violated at " << I;
+        }
       S.sleep(msec(1));
     }
   });
@@ -301,14 +302,9 @@ TEST_F(RuntimeFixture, ResultEncodeFailureBreaksStream) {
   build();
   bool SawFailure = false;
   Client->spawnProcess("main", [&] {
-    auto H = bindHandler(*Client, Client->newAgent(), Echo);
-    wire::Fragile F;
-    F.Value = 3;
-    F.FailEncode = false;
-    // The handler echoes the value back; make the *result* encoding fail
-    // by asking the server's copy to fail on encode. The decode of the
-    // argument sets FailEncode=false on the wire... so instead register a
-    // dedicated handler whose result always fails to encode.
+    // FailEncode does not travel on the wire, so an echoed argument cannot
+    // make the reply fail; register a handler whose result always fails
+    // to encode.
     auto BadRef = Server->addHandler<wire::Fragile(int32_t)>(
         "bad_result", [](int32_t) -> Outcome<wire::Fragile> {
           wire::Fragile R;

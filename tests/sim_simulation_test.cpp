@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "promises/sim/Clock.h"
 #include "promises/sim/Simulation.h"
 
 #include <gtest/gtest.h>
@@ -54,6 +55,56 @@ TEST(Simulation, NestedSleepsAccumulate) {
   });
   S.run();
   EXPECT_EQ(S.now(), usec(350) + nsec(7));
+}
+
+TEST(Simulation, ChargeCpuWithoutDriverIsOneSleep) {
+  Simulation S;
+  Time Before = 0, After = 0;
+  uint64_t Switches = 0;
+  S.spawn("p", [&] {
+    Before = S.now();
+    uint64_t At = S.contextSwitches();
+    S.chargeCpu(usec(10));
+    Switches = S.contextSwitches() - At;
+    After = S.now();
+  });
+  S.run();
+  EXPECT_EQ(After - Before, usec(10));
+  EXPECT_EQ(Switches, 1u); // Blocked once, resumed once.
+}
+
+/// A wall clock that stands still until the kernel waits in it.
+class StubClock final : public ClockDriver {
+public:
+  Time now() override { return Wall; }
+  void waitFor(Time Timeout) override {
+    ++Waits;
+    Wall += Timeout;
+  }
+  Time Wall = 0;
+  int Waits = 0;
+};
+
+TEST(Simulation, ChargeCpuUnderADriverReturnsAtOnce) {
+  Simulation S;
+  StubClock Clock;
+  S.setClockDriver(&Clock);
+  Time Before = 1, After = 0;
+  uint64_t Switches = 1;
+  S.spawn("p", [&] {
+    Before = S.now();
+    uint64_t At = S.contextSwitches();
+    S.chargeCpu(usec(10));
+    Switches = S.contextSwitches() - At;
+    After = S.now();
+  });
+  S.run();
+  EXPECT_EQ(After, Before);
+  EXPECT_EQ(Switches, 0u); // Never blocked.
+  // No timer was armed: the real-time loop reached quiescence without
+  // ever waiting in the driver.
+  EXPECT_EQ(Clock.Waits, 0);
+  EXPECT_EQ(S.now(), 0u);
 }
 
 TEST(Simulation, ProcessesInterleaveDeterministically) {

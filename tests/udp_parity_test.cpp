@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -174,6 +175,61 @@ TEST(UdpParity, OutcomeTalliesMatchTheSimulator) {
   EXPECT_EQ(Sim.Malformed, 0u);
 
   EXPECT_EQ(Udp, Sim);
+}
+
+/// What one sequential-RPC loop took, on each clock, and how many calls
+/// returned normally.
+struct LoopTimes {
+  Time Virtual = 0;
+  std::chrono::steady_clock::duration Wall{};
+  int Normal = 0;
+};
+
+/// Makes \p Calls sequential echo RPCs from a client whose modelled
+/// encode cost is \p EncodeCpu.
+LoopTimes runEncodeChargedLoop(Simulation &S, net::Network &Net,
+                               Time EncodeCpu, int Calls) {
+  net::NodeId SN = Net.addNode("server");
+  net::NodeId CN = Net.addNode("client");
+  GuardianConfig ClientCfg;
+  ClientCfg.EncodeCpu = EncodeCpu;
+  auto Server =
+      std::make_unique<Guardian>(Net, SN, "server", GuardianConfig{});
+  auto Client = std::make_unique<Guardian>(Net, CN, "client", ClientCfg);
+  auto Echo = Server->addHandler<int32_t(int32_t)>(
+      "echo", [](int32_t V) -> Outcome<int32_t> { return V; });
+  LoopTimes T;
+  Client->spawnProcess("main", [&] {
+    auto H = bindHandler(*Client, Client->newAgent(), Echo);
+    Time V0 = S.now();
+    auto W0 = std::chrono::steady_clock::now();
+    for (int I = 0; I != Calls; ++I)
+      T.Normal += H.call(int32_t(I)).isNormal();
+    T.Wall = std::chrono::steady_clock::now() - W0;
+    T.Virtual = S.now() - V0;
+  });
+  S.run();
+  return T;
+}
+
+TEST(UdpParity, ModelledEncodeCostIsNotWaitedOutOnARealClock) {
+  // Over real sockets the encode already spent real CPU; the modelled
+  // charge must not turn into a wall-clock wait (100 x 50 ms = 5 s).
+  Simulation S;
+  net::UdpNetwork Net(S);
+  LoopTimes T = runEncodeChargedLoop(S, Net, msec(50), 100);
+  EXPECT_EQ(T.Normal, 100);
+  EXPECT_LT(T.Wall, std::chrono::milliseconds(500));
+}
+
+TEST(UdpParity, ModelledEncodeCostStillAdvancesVirtualTime) {
+  // On the simulator the same charge is the cost model: every call pays
+  // its encode time on the virtual clock.
+  Simulation S;
+  net::SimNetwork Net(S, net::NetConfig{});
+  LoopTimes T = runEncodeChargedLoop(S, Net, msec(50), 100);
+  EXPECT_EQ(T.Normal, 100);
+  EXPECT_GE(T.Virtual, 100 * msec(50));
 }
 
 TEST(UdpParity, UdpSurvivesARestartedServerNode) {
