@@ -82,6 +82,8 @@ struct StreamConfig {
   /// process cannot block and bypass the limit.
   size_t MaxInFlightCalls = 0;
   /// Delay before a pure acknowledgement is sent (piggybacking window).
+  /// Fresh calls, flushed RPCs included, are acked by their replies when
+  /// those come sooner.
   sim::Time AckDelay = sim::msec(1);
   /// When true (paper Section 3: broken streams are "restarted
   /// automatically"), issuing a call on a broken stream reincarnates it;

@@ -1249,6 +1249,8 @@ void StreamTransport::handleCallBatch(const net::Address &From,
   while (!R.UnackedReplies.empty() &&
          R.UnackedReplies.firstSeq() <= M.AckReplyThrough)
     R.UnackedReplies.erase(R.UnackedReplies.firstSeq());
+  bool RepliesUnacked = !R.UnackedReplies.empty();
+  Seq DeliveredFrom = R.NextExpected;
 
   bool SawDuplicate = false;
   for (CallReq &C : M.Calls) {
@@ -1263,10 +1265,16 @@ void StreamTransport::handleCallBatch(const net::Address &From,
 
   if (M.FlushReplies) {
     R.FlushThrough = std::max(R.FlushThrough, R.NextExpected - 1);
-    // The ack / probe response: resend everything unacknowledged so a
-    // sender stalled by a lost reply batch always recovers.
-    sendReplyBatch(R, /*ResendAll=*/true);
-    return;
+    // A probe, a retransmission or a lost reply batch: resend everything
+    // unacknowledged now so a stalled sender always recovers. So too when
+    // a delivered call already completed without sending its reply. A
+    // flush that only delivered fresh calls is acked by their reply
+    // batch, or by the ack timer if they run longer than AckDelay.
+    if (R.NextExpected == DeliveredFrom || SawDuplicate || RepliesUnacked ||
+        R.CompletedThrough > R.LastSentCompleted) {
+      sendReplyBatch(R, /*ResendAll=*/true);
+      return;
+    }
   }
   if (SawDuplicate)
     R.NeedAck = true;

@@ -124,116 +124,116 @@ chaos::ChaosOptions chaosOptions(const ChaosRow &Row) {
 const std::vector<ChaosRow> &chaosTable() {
   using W = Workload;
   static const std::vector<ChaosRow> T = {
-      {"crashes", W::Plain, "416@018060af82976780", 480910075,
-       "ops=96 normal=52 unavailable=20 failed=0 "
-       "exn=3 sends=21 exec=70 orphans=0 crashes=5 "
+      {"crashes", W::Plain, "393@2e42ed0471192c7b", 492801980,
+       "ops=96 normal=50 unavailable=23 failed=0 "
+       "exn=2 sends=21 exec=70 orphans=0 crashes=5 "
        "restarts=5 shutdowns=3 parts=0 bursts=0 stale=3 "
-       "vms=480.910 trace=416@018060af82976780",
+       "vms=492.802 trace=393@2e42ed0471192c7b",
        {}},
-      {"crashes", W::Deadlines, "441@6086061007a4b16f", 487724877,
-       "ops=96 normal=45 unavailable=27 failed=0 "
-       "exn=3 sends=21 exec=69 orphans=0 crashes=5 "
-       "restarts=5 shutdowns=3 parts=0 bursts=0 stale=11 "
-       "vms=487.725 trace=441@6086061007a4b16f expired=0/0 "
-       "cancelled=3/3 shed=5/5 fastfail=3 retries=6 "
+      {"crashes", W::Deadlines, "432@fec28da068b4aa4e", 488345868,
+       "ops=96 normal=44 unavailable=28 failed=0 "
+       "exn=3 sends=21 exec=67 orphans=0 crashes=5 "
+       "restarts=5 shutdowns=3 parts=0 bursts=0 stale=12 "
+       "vms=488.346 trace=432@fec28da068b4aa4e expired=0/0 "
+       "cancelled=4/4 shed=5/5 fastfail=3 retries=6 "
        "cancels=7",
        {}},
-      {"crashes", W::Wire, "439@1cfad8660f115fc3", 485777898,
-       "ops=96 normal=58 unavailable=13 failed=0 "
-       "exn=4 sends=21 exec=80 orphans=0 crashes=5 "
-       "restarts=5 shutdowns=2 parts=0 bursts=0 stale=7 "
-       "vms=485.778 trace=439@1cfad8660f115fc3 corrupted=2 "
-       "cdropped=1 malformed=0 cbursts=3",
+      {"crashes", W::Wire, "423@552c5c139c2f9b0e", 485607175,
+       "ops=96 normal=51 unavailable=21 failed=0 "
+       "exn=3 sends=21 exec=76 orphans=2 crashes=5 "
+       "restarts=5 shutdowns=2 parts=0 bursts=0 stale=8 "
+       "vms=485.607 trace=423@552c5c139c2f9b0e corrupted=2 "
+       "cdropped=2 malformed=0 cbursts=3",
        {}},
-      {"crashes", W::Storage, "497@161f7655b07eb76a", 437935709,
+      {"crashes", W::Storage, "458@c50123f1c4eae447", 442360092,
        "ops=96 normal=69 unavailable=10 failed=0 "
        "exn=5 sends=12 exec=57 orphans=0 crashes=5 "
        "restarts=5 shutdowns=3 parts=0 bursts=0 stale=2 "
-       "vms=437.936 trace=497@161f7655b07eb76a dput=27 "
+       "vms=442.360 trace=458@c50123f1c4eae447 dput=27 "
        "replay=8 scrash=5 torn=0",
        {}},
-      {"partitions", W::Plain, "465@5fc30b3c0a5ddecc", 361000000,
-       "ops=96 normal=66 unavailable=4 failed=0 exn=5 "
-       "sends=21 exec=96 orphans=2 crashes=0 restarts=0 "
-       "shutdowns=0 parts=13 bursts=0 stale=0 vms=361.000 "
-       "trace=465@5fc30b3c0a5ddecc",
+      {"partitions", W::Plain, "443@f80883d95af25909", 369361790,
+       "ops=96 normal=64 unavailable=7 failed=0 exn=4 "
+       "sends=21 exec=95 orphans=2 crashes=0 restarts=0 "
+       "shutdowns=0 parts=13 bursts=0 stale=0 vms=369.362 "
+       "trace=443@f80883d95af25909",
        {}},
-      {"partitions", W::Deadlines, "475@5eec1c5722777c55", 363746715,
-       "ops=96 normal=60 unavailable=10 failed=0 "
-       "exn=5 sends=21 exec=89 orphans=2 crashes=0 "
-       "restarts=0 shutdowns=0 parts=13 bursts=0 "
-       "stale=0 vms=363.747 trace=475@5eec1c5722777c55 "
-       "expired=1/2 cancelled=2/2 shed=1/2 fastfail=0 "
-       "retries=2 cancels=7",
-       {}},
-      {"partitions", W::Wire, "467@e75e77504c020ba4", 453616077,
-       "ops=96 normal=62 unavailable=8 failed=0 exn=5 "
-       "sends=21 exec=88 orphans=1 crashes=0 restarts=0 "
-       "shutdowns=0 parts=10 bursts=0 stale=0 vms=453.616 "
-       "trace=467@e75e77504c020ba4 corrupted=3 cdropped=3 "
-       "malformed=0 cbursts=3",
-       {}},
-      {"partitions", W::Storage, "505@c5f7d81a92e9ea73", 377062463,
-       "ops=96 normal=73 unavailable=6 failed=0 exn=5 "
-       "sends=12 exec=59 orphans=0 crashes=0 restarts=0 "
-       "shutdowns=0 parts=13 bursts=0 stale=0 vms=377.062 "
-       "trace=505@c5f7d81a92e9ea73 dput=29 replay=0 "
-       "scrash=0 torn=0",
-       {}},
-      {"loss", W::Plain, "470@2b6a351d1a522346", 381901739,
-       "ops=96 normal=65 unavailable=5 failed=0 exn=5 "
-       "sends=21 exec=96 orphans=1 crashes=0 restarts=0 "
-       "shutdowns=0 parts=0 bursts=19 stale=0 vms=381.902 "
-       "trace=470@2b6a351d1a522346",
-       {}},
-      {"loss", W::Deadlines, "473@6798b9c29084ec63", 420478762,
+      {"partitions", W::Deadlines, "462@aa383889fee5397f", 362003042,
        "ops=96 normal=61 unavailable=10 failed=0 "
-       "exn=4 sends=21 exec=91 orphans=3 crashes=0 "
-       "restarts=0 shutdowns=0 parts=0 bursts=19 "
-       "stale=0 vms=420.479 trace=473@6798b9c29084ec63 "
-       "expired=1/1 cancelled=3/3 shed=0/1 fastfail=0 "
+       "exn=4 sends=21 exec=91 orphans=2 crashes=0 "
+       "restarts=0 shutdowns=0 parts=13 bursts=0 "
+       "stale=0 vms=362.003 trace=462@aa383889fee5397f "
+       "expired=2/3 cancelled=3/3 shed=2/3 fastfail=0 "
        "retries=1 cancels=7",
        {}},
-      {"loss", W::Wire, "493@630e527310611aeb", 388970741,
-       "ops=96 normal=64 unavailable=7 failed=0 exn=4 "
-       "sends=21 exec=96 orphans=2 crashes=0 restarts=0 "
-       "shutdowns=0 parts=0 bursts=16 stale=0 vms=388.971 "
-       "trace=493@630e527310611aeb corrupted=2 cdropped=2 "
+      {"partitions", W::Wire, "457@19d442f545af67e3", 453954783,
+       "ops=96 normal=66 unavailable=5 failed=0 exn=4 "
+       "sends=21 exec=96 orphans=1 crashes=0 restarts=0 "
+       "shutdowns=0 parts=10 bursts=0 stale=0 vms=453.955 "
+       "trace=457@19d442f545af67e3 corrupted=3 cdropped=3 "
        "malformed=0 cbursts=3",
        {}},
-      {"loss", W::Storage, "533@0b7e3541d6344b28", 373019454,
-       "ops=96 normal=78 unavailable=1 failed=0 exn=5 "
-       "sends=12 exec=63 orphans=2 crashes=0 restarts=0 "
-       "shutdowns=0 parts=0 bursts=19 stale=0 vms=373.019 "
-       "trace=533@0b7e3541d6344b28 dput=32 replay=0 "
+      {"partitions", W::Storage, "453@664a787b70634177", 386492627,
+       "ops=96 normal=74 unavailable=5 failed=0 exn=5 "
+       "sends=12 exec=59 orphans=0 crashes=0 restarts=0 "
+       "shutdowns=0 parts=13 bursts=0 stale=0 vms=386.493 "
+       "trace=453@664a787b70634177 dput=30 replay=0 "
        "scrash=0 torn=0",
        {}},
-      {"mixed", W::Plain, "453@ddbf5584eae3f070", 417405848,
-       "ops=96 normal=61 unavailable=9 failed=0 exn=5 "
-       "sends=21 exec=90 orphans=2 crashes=1 restarts=1 "
-       "shutdowns=3 parts=5 bursts=4 stale=0 vms=417.406 "
-       "trace=453@ddbf5584eae3f070",
+      {"loss", W::Plain, "441@8fa672684137c044", 351000000,
+       "ops=96 normal=62 unavailable=9 failed=0 exn=4 "
+       "sends=21 exec=93 orphans=2 crashes=0 restarts=0 "
+       "shutdowns=0 parts=0 bursts=19 stale=0 vms=351.000 "
+       "trace=441@8fa672684137c044",
        {}},
-      {"mixed", W::Deadlines, "482@3faa52f9c45a6542", 489740849,
-       "ops=96 normal=52 unavailable=19 failed=0 "
-       "exn=4 sends=21 exec=86 orphans=2 crashes=1 "
-       "restarts=1 shutdowns=3 parts=5 bursts=4 stale=8 "
-       "vms=489.741 trace=482@3faa52f9c45a6542 expired=0/1 "
-       "cancelled=4/4 shed=3/4 fastfail=2 retries=6 "
+      {"loss", W::Deadlines, "463@253380cfc95728ba", 402203849,
+       "ops=96 normal=59 unavailable=12 failed=0 "
+       "exn=4 sends=21 exec=90 orphans=4 crashes=0 "
+       "restarts=0 shutdowns=0 parts=0 bursts=19 "
+       "stale=0 vms=402.204 trace=463@253380cfc95728ba "
+       "expired=0/0 cancelled=4/4 shed=2/3 fastfail=0 "
+       "retries=1 cancels=7",
+       {}},
+      {"loss", W::Wire, "482@8db800f76b394326", 468759284,
+       "ops=96 normal=63 unavailable=8 failed=0 exn=4 "
+       "sends=21 exec=96 orphans=1 crashes=0 restarts=0 "
+       "shutdowns=0 parts=0 bursts=16 stale=0 vms=468.759 "
+       "trace=482@8db800f76b394326 corrupted=6 cdropped=6 "
+       "malformed=0 cbursts=3",
+       {}},
+      {"loss", W::Storage, "478@0c151571f52c5fa2", 383541597,
+       "ops=96 normal=77 unavailable=2 failed=0 exn=5 "
+       "sends=12 exec=63 orphans=3 crashes=0 restarts=0 "
+       "shutdowns=0 parts=0 bursts=19 stale=0 vms=383.542 "
+       "trace=478@0c151571f52c5fa2 dput=31 replay=0 "
+       "scrash=0 torn=0",
+       {}},
+      {"mixed", W::Plain, "415@15e1c807d7a3a8dc", 382970521,
+       "ops=96 normal=59 unavailable=12 failed=0 "
+       "exn=4 sends=21 exec=84 orphans=2 crashes=1 "
+       "restarts=1 shutdowns=3 parts=5 bursts=4 stale=0 "
+       "vms=382.971 trace=415@15e1c807d7a3a8dc",
+       {}},
+      {"mixed", W::Deadlines, "476@b882cc26913bbcf7", 477985619,
+       "ops=96 normal=55 unavailable=15 failed=0 "
+       "exn=5 sends=21 exec=83 orphans=2 crashes=1 "
+       "restarts=1 shutdowns=3 parts=5 bursts=4 stale=9 "
+       "vms=477.986 trace=476@b882cc26913bbcf7 expired=0/2 "
+       "cancelled=6/6 shed=2/2 fastfail=2 retries=5 "
        "cancels=7",
        {}},
-      {"mixed", W::Wire, "469@952fb04ee9842b05", 371000000,
+      {"mixed", W::Wire, "467@f6ac955638b4c1dc", 371000000,
        "ops=96 normal=64 unavailable=7 failed=0 exn=4 "
-       "sends=21 exec=95 orphans=3 crashes=0 restarts=0 "
+       "sends=21 exec=96 orphans=1 crashes=0 restarts=0 "
        "shutdowns=1 parts=3 bursts=4 stale=0 vms=371.000 "
-       "trace=469@952fb04ee9842b05 corrupted=7 cdropped=7 "
+       "trace=467@f6ac955638b4c1dc corrupted=9 cdropped=9 "
        "malformed=0 cbursts=6",
        {}},
-      {"mixed", W::Storage, "500@8b3476b69f9ec20e", 431670474,
-       "ops=96 normal=73 unavailable=7 failed=0 exn=4 "
-       "sends=12 exec=60 orphans=0 crashes=1 restarts=1 "
-       "shutdowns=3 parts=5 bursts=4 stale=1 vms=431.670 "
-       "trace=500@8b3476b69f9ec20e dput=29 replay=11 "
+      {"mixed", W::Storage, "450@e2a9b8fc383ab327", 398503609,
+       "ops=96 normal=72 unavailable=8 failed=0 exn=4 "
+       "sends=12 exec=59 orphans=0 crashes=1 restarts=1 "
+       "shutdowns=3 parts=5 bursts=4 stale=2 vms=398.504 "
+       "trace=450@e2a9b8fc383ab327 dput=29 replay=12 "
        "scrash=1 torn=0",
        {}},
   };
@@ -279,55 +279,55 @@ struct LoadRow {
 
 const std::vector<LoadRow> &loadTable() {
   static const std::vector<LoadRow> T = {
-      {"steady", "6223@7d6836b16ae95227", 322062077,
+      {"steady", "5738@bda4e34290416a12", 322062077,
        "offered=1104 normal=1103 shed=1/1 fastfail=0 "
        "expired=0 retries=0 exec=1103 goodput=3707->3647cps "
-       "ratio=0.98 p50=2593us p99=2720us p999=2836us "
-       "vms=322.062 trace=6223@7d6836b16ae95227",
+       "ratio=0.98 p50=2593us p99=2720us p999=2848us "
+       "vms=322.062 trace=5738@bda4e34290416a12",
        {}},
-      {"storm", "10822@a339774df1303d14", 421484371,
-       "offered=1894 normal=1246 shed=648/648 fastfail=0 "
-       "expired=0 retries=0 exec=1246 goodput=2680->3550cps "
-       "ratio=1.32 p50=2656us p99=3040us p999=3104us "
-       "vms=421.484 trace=10822@a339774df1303d14",
+      {"storm", "9834@5eae3a3344214bf6", 421484371,
+       "offered=1894 normal=1238 shed=656/656 fastfail=0 "
+       "expired=0 retries=0 exec=1238 goodput=2675->3515cps "
+       "ratio=1.31 p50=2593us p99=2848us p999=2848us "
+       "vms=421.484 trace=9834@5eae3a3344214bf6",
        {}},
-      {"spike", "9071@c1d15a8698b8f5fb", 572219369,
-       "offered=1393 normal=966 shed=147/184 fastfail=0 "
-       "expired=280 retries=37 exec=966 goodput=1500->3330cps "
-       "ratio=2.22 p50=8832us p99=165888us p999=165888us "
-       "vms=572.219 trace=9071@c1d15a8698b8f5fb",
+      {"spike", "8940@e6fe4d563f590551", 571458699,
+       "offered=1393 normal=969 shed=147/185 fastfail=0 "
+       "expired=277 retries=38 exec=969 goodput=1500->3345cps "
+       "ratio=2.23 p50=8832us p99=165888us p999=165888us "
+       "vms=571.459 trace=8940@e6fe4d563f590551",
        {}},
-      {"diurnal", "7393@511e5814a7a12bb0", 416560518,
-       "offered=1294 normal=969 shed=325/325 fastfail=0 "
-       "expired=0 retries=0 exec=969 goodput=3275->1570cps "
-       "ratio=0.48 p50=2593us p99=2848us p999=3040us "
-       "vms=416.561 trace=7393@511e5814a7a12bb0",
+      {"diurnal", "6742@9f1161f9e1b88a66", 416560518,
+       "offered=1294 normal=970 shed=324/324 fastfail=0 "
+       "expired=0 retries=0 exec=970 goodput=3280->1570cps "
+       "ratio=0.48 p50=2593us p99=2784us p999=2892us "
+       "vms=416.561 trace=6742@9f1161f9e1b88a66",
        {}},
-      {"tenants", "8268@fe6c655f59585f14", 321779901,
+      {"tenants", "7612@0e454c371344b9c6", 321779901,
        "offered=1488 normal=787 shed=701/701 fastfail=0 "
        "expired=0 retries=0 exec=787 goodput=2327->2920cps "
-       "ratio=1.26 p50=2593us p99=2912us p999=3232us "
-       "vms=321.780 trace=8268@fe6c655f59585f14",
+       "ratio=1.26 p50=2593us p99=2784us p999=2912us "
+       "vms=321.780 trace=7612@0e454c371344b9c6",
        {}},
-      {"neworder", "27745@2dc3c7e3aea9a70f", 585884962,
+      {"neworder", "22906@fb51459bf2a2fae8", 585906831,
        "offered=372 normal=372 shed=0/0 fastfail=0 "
        "expired=0 retries=0 exec=4836 goodput=525->1335cps "
-       "ratio=2.54 p50=115712us p99=197169us p999=197169us "
-       "vms=585.885 trace=27745@2dc3c7e3aea9a70f",
+       "ratio=2.54 p50=115712us p99=197309us p999=197309us "
+       "vms=585.907 trace=22906@fb51459bf2a2fae8",
        {}},
-      {"neworder-crash", "12897@f636fff99fce5920", 575936018,
+      {"neworder-crash", "10850@60f9a4be54401739", 575804123,
        "offered=232 normal=145 shed=0/0 fastfail=0 "
-       "expired=0 retries=0 exec=2069 goodput=0->580cps "
-       "ratio=0.00 p50=43520us p99=78848us p999=78848us "
-       "vms=575.936 trace=12897@f636fff99fce5920 "
-       "committed=145 scrash=10 torn=0 replay=6 indoubt=0 "
-       "resolved=1/0",
+       "expired=0 retries=0 exec=2073 goodput=0->580cps "
+       "ratio=0.00 p50=46592us p99=68608us p999=70656us "
+       "vms=575.804 trace=10850@60f9a4be54401739 "
+       "committed=145 scrash=10 torn=0 replay=8 indoubt=0 "
+       "resolved=0/0",
        {}},
-      {"chaos-storm", "15936@d3938c5dc1a6d071", 529549916,
-       "offered=2981 normal=1981 shed=51/100 fastfail=0 "
-       "expired=327 retries=68 exec=1982 goodput=1216->6708cps "
-       "ratio=5.52 p50=3552us p99=12416us p999=29440us "
-       "vms=529.550 trace=15936@d3938c5dc1a6d071",
+      {"chaos-storm", "16049@1c02b3cf641fe6e8", 522202798,
+       "offered=2981 normal=1949 shed=133/177 fastfail=0 "
+       "expired=368 retries=55 exec=1949 goodput=1212->6584cps "
+       "ratio=5.43 p50=3616us p99=12672us p999=56832us "
+       "vms=522.203 trace=16049@1c02b3cf641fe6e8",
        {}},
   };
   return T;
@@ -370,21 +370,21 @@ INSTANTIATE_TEST_SUITE_P(Table, LoadGolden, ::testing::ValuesIn(loadTable()),
 // violations.
 TEST(LoadGoldenStorm, DurableNewOrderKeepsItsViolations) {
   const LoadRow Row =
-      {"neworder", "334140@c771455cd70f7183", 9322883430,
-       "offered=2853 normal=1091 shed=0/0 fastfail=0 "
-       "expired=0 retries=0 exec=24935 goodput=515->167cps "
-       "ratio=0.32 p50=14208us p99=2457600us p999=3047424us "
-       "vms=9322.883 trace=334140@c771455cd70f7183 "
-       "committed=1176 scrash=0 torn=0 replay=0 indoubt=0 "
-       "resolved=359/0",
-       {"goodput collapse: overload/base ratio 0.324 "
-        "below floor 0.500 (515 -> 167 cps)",
-        "srv0: 180 transactions stranded",
-        "srv1: 177 transactions stranded",
-        "srv2: 181 transactions stranded",
+      {"neworder", "310405@9d9aadff4b454c81", 9247991851,
+       "offered=2853 normal=1117 shed=0/0 fastfail=0 "
+       "expired=0 retries=0 exec=25255 goodput=515->183cps "
+       "ratio=0.36 p50=14208us p99=2523136us p999=2981888us "
+       "vms=9247.992 trace=310405@9d9aadff4b454c81 "
+       "committed=1202 scrash=0 torn=0 replay=0 indoubt=0 "
+       "resolved=400/0",
+       {"goodput collapse: overload/base ratio 0.356 "
+        "below floor 0.500 (515 -> 183 cps)",
+        "srv0: 179 transactions stranded",
+        "srv1: 174 transactions stranded",
+        "srv2: 179 transactions stranded",
         "85 transactions in doubt on a clean wire",
-        "commit conservation: 3528 participant commits "
-        "!= 1091 committed x 3 partitions"}};
+        "commit conservation: 3606 participant commits "
+        "!= 1117 committed x 3 partitions"}};
   load::LoadOptions O = loadOptions("neworder");
   O.ForceStorage = true;
   O.DurationScale = 8;

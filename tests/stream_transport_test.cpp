@@ -353,6 +353,128 @@ TEST_F(StreamFixture, LostRepliesAreRecoveredByProbes) {
   }
 }
 
+/// Fixture variant whose server holds every delivered call until the test
+/// completes it, as a call process that is still running would.
+struct HeldCallFixture : StreamFixture {
+  std::vector<IncomingCall> Held;
+  std::vector<ReplyOutcome> Out;
+  Time Done = 0;
+
+  void buildHolding() {
+    build();
+    Server->setCallSink(
+        [this](IncomingCall IC) { Held.push_back(std::move(IC)); });
+  }
+
+  void rpc(AgentId A) {
+    auto R = Client->issueCall(A, Server->address(), 1, EchoPort, bytesOf(1),
+                               false, /*IsRpc=*/true,
+                               [this](const ReplyOutcome &O) {
+                                 Out.push_back(O);
+                                 Done = S.now();
+                               });
+    ASSERT_TRUE(R.Issued);
+  }
+
+  void runUntilDelivered(size_t N) {
+    while (Held.size() < N)
+      ASSERT_TRUE(S.runFor(usec(10)));
+  }
+
+  void complete(size_t I) {
+    Held[I].Complete(ReplyStatus::Normal, 0, Held[I].Args, "");
+  }
+};
+
+TEST_F(HeldCallFixture, OneRpcIsOneCallBatchAndOneReplyBatch) {
+  build();
+  // The handler runs after delivery, as a call process does.
+  Server->setCallSink([this](IncomingCall IC) {
+    S.schedule(usec(100), [IC]() mutable {
+      IC.Complete(ReplyStatus::Normal, 0, IC.Args, "");
+    });
+  });
+  AgentId A = Client->newAgent();
+  for (int I = 0; I < 5; ++I) {
+    rpc(A);
+    S.run();
+  }
+  ASSERT_EQ(Out.size(), 5u);
+  EXPECT_EQ(Client->counters().CallBatchesSent, 5u);
+  // The reply acks its call; no empty ack batch goes ahead of it.
+  EXPECT_EQ(Server->counters().ReplyBatchesSent, 5u);
+  EXPECT_EQ(Client->counters().Retransmissions, 0u);
+}
+
+TEST_F(HeldCallFixture, RpcCompletedInItsDeliverySendsOneReplyBatch) {
+  build();
+  rpc(Client->newAgent());
+  S.run();
+  ASSERT_EQ(Out.size(), 1u);
+  EXPECT_EQ(Client->counters().CallBatchesSent, 1u);
+  EXPECT_EQ(Server->counters().ReplyBatchesSent, 1u);
+}
+
+TEST_F(HeldCallFixture, SlowCallIsAckedByTheAckTimerBeforeItsReply) {
+  buildHolding();
+  AgentId A = Client->newAgent();
+  rpc(A);
+  runUntilDelivered(1);
+  EXPECT_EQ(Server->counters().ReplyBatchesSent, 0u);
+  S.runFor(SC.AckDelay + usec(10));
+  EXPECT_EQ(Server->counters().ReplyBatchesSent, 1u); // The delivery ack.
+  EXPECT_TRUE(Out.empty());
+  // The handler outlives the retransmit timeout; the ack keeps the sender
+  // from re-sending the call.
+  S.runFor(SC.RetransmitTimeout + msec(10));
+  complete(0);
+  S.run();
+  ASSERT_EQ(Out.size(), 1u);
+  EXPECT_EQ(Server->counters().ReplyBatchesSent, 2u);
+  EXPECT_EQ(Client->counters().Retransmissions, 0u);
+  EXPECT_EQ(Client->counters().Probes, 0u);
+}
+
+TEST_F(HeldCallFixture, RetransmittedDuplicateGetsAnImmediateFullReply) {
+  buildHolding();
+  AgentId A = Client->newAgent();
+  rpc(A);
+  runUntilDelivered(1);
+  // The reply batch, the only ack the call gets, is lost.
+  Net->setPartitioned(CN, SN, true);
+  complete(0);
+  Net->setPartitioned(CN, SN, false);
+  Time LostAt = S.now();
+  S.run();
+  ASSERT_EQ(Out.size(), 1u);
+  // The retransmitted call is a duplicate; the answer resends the reply
+  // that was already batched once, so it must be a full batch.
+  EXPECT_EQ(Client->counters().Retransmissions, 1u);
+  EXPECT_EQ(Server->counters().DuplicateCallsDropped, 1u);
+  EXPECT_EQ(Server->counters().ReplyBatchesSent, 2u);
+  EXPECT_LT(Done - LostAt, SC.RetransmitTimeout * 11 / 10 + msec(5));
+}
+
+TEST_F(HeldCallFixture, EmptyProbeGetsAnImmediateFullReply) {
+  buildHolding();
+  AgentId A = Client->newAgent();
+  rpc(A);
+  runUntilDelivered(1);
+  // Acked by the ack timer; the first retransmit firing sees the progress.
+  S.runFor(SC.RetransmitTimeout * 11 / 10 + msec(1));
+  EXPECT_EQ(Server->counters().ReplyBatchesSent, 1u);
+  Net->setPartitioned(CN, SN, true);
+  complete(0);
+  Net->setPartitioned(CN, SN, false);
+  Time LostAt = S.now();
+  S.run();
+  ASSERT_EQ(Out.size(), 1u);
+  EXPECT_EQ(Client->counters().Probes, 1u);
+  EXPECT_EQ(Client->counters().Retransmissions, 0u);
+  EXPECT_EQ(Server->counters().ReplyBatchesSent, 3u);
+  EXPECT_LT(Done - LostAt, SC.RetransmitTimeout * 11 / 10 + msec(5));
+}
+
 TEST_F(StreamFixture, SynchAllNormal) {
   build();
   AgentId A = Client->newAgent();
